@@ -1,12 +1,10 @@
-(* Global per-layer byte counters for the host data path.  Plain ints,
-   bumped from the hot loops, so the ledger itself adds no allocation and
-   no indirection — the same spirit as the paper's atom/cachesim counts,
-   but for the un-simulated (native) lane and the engine's host-side
-   buffer management. *)
+(* Global per-layer byte counters for the host data path, kept in the
+   metrics registry (the only store).  A bump is one counter increment,
+   so charging from the hot loops allocates nothing — the same spirit as
+   the paper's atom/cachesim counts, but for the un-simulated (native)
+   lane and the engine's host-side buffer management. *)
 
 type layer = Marshal | Cipher | Checksum | Tcp | Rpc | Pool
-
-let n_layers = 6
 
 let layer_index = function
   | Marshal -> 0
@@ -26,189 +24,97 @@ let layer_name = function
 
 let layers = [ Marshal; Cipher; Checksum; Tcp; Rpc; Pool ]
 
-let reads = Array.make n_layers 0
-let writes = Array.make n_layers 0
-let copies = Array.make n_layers 0
-let allocs = Array.make n_layers 0
-let alloc_blocks = Array.make n_layers 0
-
-(* Receive-direction sub-ledger.  The arrays above stay the totals — both
-   directions bump them, so every pre-existing consumer keeps its meaning
-   — and the [_rx] arrays count the receive-side share, charged by the
-   [*_rx] entry points the rx code paths call.  The send share is the
-   difference. *)
-let reads_rx = Array.make n_layers 0
-let writes_rx = Array.make n_layers 0
-let copies_rx = Array.make n_layers 0
-let allocs_rx = Array.make n_layers 0
-let alloc_blocks_rx = Array.make n_layers 0
-
-(* Mirror counters in the unified metrics registry.  Unlike the arrays
-   above these are never [reset]: they are cumulative for the process,
-   and per-run consumers diff snapshots. *)
 module M = Ilp_obs.Metrics
 
-let metric kind =
+(* Counter grids indexed [kind][layer]: [total] is charged by both
+   directions; [rx] counts the receive-side share, charged by the [*_rx]
+   entry points the rx code paths call.  The send share is the
+   difference. *)
+let k_read = 0
+let k_write = 1
+let k_copy = 2
+let k_alloc = 3
+let k_blocks = 4
+
+let grid prefix =
   Array.of_list
     (List.map
-       (fun l -> M.counter M.default ("mem." ^ layer_name l ^ "." ^ kind))
-       layers)
+       (fun kind ->
+         Array.of_list
+           (List.map
+              (fun l -> M.counter M.default (prefix ^ layer_name l ^ "." ^ kind))
+              layers))
+       [ "read_bytes"; "written_bytes"; "copied_bytes"; "allocated_bytes";
+         "alloc_blocks" ])
 
-let m_reads = metric "read_bytes"
-let m_writes = metric "written_bytes"
-let m_copies = metric "copied_bytes"
-let m_allocs = metric "allocated_bytes"
-let m_alloc_blocks = metric "alloc_blocks"
+let total = grid "mem."
+let rx = grid "mem.rx."
 
-let metric_rx kind =
-  Array.of_list
-    (List.map
-       (fun l -> M.counter M.default ("mem.rx." ^ layer_name l ^ "." ^ kind))
-       layers)
+let charge g k l n = M.inc g.(k).(layer_index l) n
 
-let m_reads_rx = metric_rx "read_bytes"
-let m_writes_rx = metric_rx "written_bytes"
-let m_copies_rx = metric_rx "copied_bytes"
-let m_allocs_rx = metric_rx "allocated_bytes"
-let m_alloc_blocks_rx = metric_rx "alloc_blocks"
-
-let read l n =
-  let i = layer_index l in
-  reads.(i) <- reads.(i) + n;
-  M.inc m_reads.(i) n
-
-let write l n =
-  let i = layer_index l in
-  writes.(i) <- writes.(i) + n;
-  M.inc m_writes.(i) n
-
-let copied l n =
-  let i = layer_index l in
-  reads.(i) <- reads.(i) + n;
-  writes.(i) <- writes.(i) + n;
-  copies.(i) <- copies.(i) + n;
-  M.inc m_reads.(i) n;
-  M.inc m_writes.(i) n;
-  M.inc m_copies.(i) n
+let read l n = charge total k_read l n
+let write l n = charge total k_write l n
 
 let inplace l n =
-  let i = layer_index l in
-  reads.(i) <- reads.(i) + n;
-  writes.(i) <- writes.(i) + n;
-  M.inc m_reads.(i) n;
-  M.inc m_writes.(i) n
+  read l n;
+  write l n
+
+let copied l n =
+  inplace l n;
+  charge total k_copy l n
 
 let alloc l n =
-  let i = layer_index l in
-  allocs.(i) <- allocs.(i) + n;
-  alloc_blocks.(i) <- alloc_blocks.(i) + 1;
-  M.inc m_allocs.(i) n;
-  M.inc m_alloc_blocks.(i) 1
+  charge total k_alloc l n;
+  charge total k_blocks l 1
 
 let read_rx l n =
   read l n;
-  let i = layer_index l in
-  reads_rx.(i) <- reads_rx.(i) + n;
-  M.inc m_reads_rx.(i) n
+  charge rx k_read l n
 
 let write_rx l n =
   write l n;
-  let i = layer_index l in
-  writes_rx.(i) <- writes_rx.(i) + n;
-  M.inc m_writes_rx.(i) n
-
-let copied_rx l n =
-  copied l n;
-  let i = layer_index l in
-  reads_rx.(i) <- reads_rx.(i) + n;
-  writes_rx.(i) <- writes_rx.(i) + n;
-  copies_rx.(i) <- copies_rx.(i) + n;
-  M.inc m_reads_rx.(i) n;
-  M.inc m_writes_rx.(i) n;
-  M.inc m_copies_rx.(i) n
+  charge rx k_write l n
 
 let inplace_rx l n =
   inplace l n;
-  let i = layer_index l in
-  reads_rx.(i) <- reads_rx.(i) + n;
-  writes_rx.(i) <- writes_rx.(i) + n;
-  M.inc m_reads_rx.(i) n;
-  M.inc m_writes_rx.(i) n
+  charge rx k_read l n;
+  charge rx k_write l n
+
+let copied_rx l n =
+  copied l n;
+  charge rx k_read l n;
+  charge rx k_write l n;
+  charge rx k_copy l n
 
 let alloc_rx l n =
   alloc l n;
-  let i = layer_index l in
-  allocs_rx.(i) <- allocs_rx.(i) + n;
-  alloc_blocks_rx.(i) <- alloc_blocks_rx.(i) + 1;
-  M.inc m_allocs_rx.(i) n;
-  M.inc m_alloc_blocks_rx.(i) 1
+  charge rx k_alloc l n;
+  charge rx k_blocks l 1
 
-type snapshot = {
-  s_reads : int array;
-  s_writes : int array;
-  s_copies : int array;
-  s_allocs : int array;
-  s_alloc_blocks : int array;
-  s_reads_rx : int array;
-  s_writes_rx : int array;
-  s_copies_rx : int array;
-  s_allocs_rx : int array;
-  s_alloc_blocks_rx : int array;
-}
+type snapshot = { s_total : int array array; s_rx : int array array }
 
-let snapshot () =
-  { s_reads = Array.copy reads;
-    s_writes = Array.copy writes;
-    s_copies = Array.copy copies;
-    s_allocs = Array.copy allocs;
-    s_alloc_blocks = Array.copy alloc_blocks;
-    s_reads_rx = Array.copy reads_rx;
-    s_writes_rx = Array.copy writes_rx;
-    s_copies_rx = Array.copy copies_rx;
-    s_allocs_rx = Array.copy allocs_rx;
-    s_alloc_blocks_rx = Array.copy alloc_blocks_rx }
+let values g = Array.map (Array.map M.counter_value) g
+let snapshot () = { s_total = values total; s_rx = values rx }
 
 let diff later earlier =
-  let d a b = Array.init n_layers (fun i -> a.(i) - b.(i)) in
-  { s_reads = d later.s_reads earlier.s_reads;
-    s_writes = d later.s_writes earlier.s_writes;
-    s_copies = d later.s_copies earlier.s_copies;
-    s_allocs = d later.s_allocs earlier.s_allocs;
-    s_alloc_blocks = d later.s_alloc_blocks earlier.s_alloc_blocks;
-    s_reads_rx = d later.s_reads_rx earlier.s_reads_rx;
-    s_writes_rx = d later.s_writes_rx earlier.s_writes_rx;
-    s_copies_rx = d later.s_copies_rx earlier.s_copies_rx;
-    s_allocs_rx = d later.s_allocs_rx earlier.s_allocs_rx;
-    s_alloc_blocks_rx = d later.s_alloc_blocks_rx earlier.s_alloc_blocks_rx }
+  let d = Array.map2 (Array.map2 ( - )) in
+  { s_total = d later.s_total earlier.s_total; s_rx = d later.s_rx earlier.s_rx }
 
-let reset () =
-  Array.fill reads 0 n_layers 0;
-  Array.fill writes 0 n_layers 0;
-  Array.fill copies 0 n_layers 0;
-  Array.fill allocs 0 n_layers 0;
-  Array.fill alloc_blocks 0 n_layers 0;
-  Array.fill reads_rx 0 n_layers 0;
-  Array.fill writes_rx 0 n_layers 0;
-  Array.fill copies_rx 0 n_layers 0;
-  Array.fill allocs_rx 0 n_layers 0;
-  Array.fill alloc_blocks_rx 0 n_layers 0
+let sum g k = Array.fold_left ( + ) 0 g.(k)
 
-let total a = Array.fold_left ( + ) 0 a
-
-let reads_total s = total s.s_reads
-let writes_total s = total s.s_writes
-let copied_total s = total s.s_copies
-let allocated_total s = total s.s_allocs
-let alloc_blocks_total s = total s.s_alloc_blocks
-let copied_rx_total s = total s.s_copies_rx
-let allocated_rx_total s = total s.s_allocs_rx
+let reads_total s = sum s.s_total k_read
+let writes_total s = sum s.s_total k_write
+let copied_total s = sum s.s_total k_copy
+let allocated_total s = sum s.s_total k_alloc
+let alloc_blocks_total s = sum s.s_total k_blocks
+let copied_rx_total s = sum s.s_rx k_copy
+let allocated_rx_total s = sum s.s_rx k_alloc
 let copied_tx_total s = copied_total s - copied_rx_total s
 let allocated_tx_total s = allocated_total s - allocated_rx_total s
 
-let of_layer s l =
+let layer_row g l =
   let i = layer_index l in
-  (s.s_reads.(i), s.s_writes.(i), s.s_copies.(i), s.s_allocs.(i))
+  (g.(k_read).(i), g.(k_write).(i), g.(k_copy).(i), g.(k_alloc).(i))
 
-let of_layer_rx s l =
-  let i = layer_index l in
-  (s.s_reads_rx.(i), s.s_writes_rx.(i), s.s_copies_rx.(i), s.s_allocs_rx.(i))
+let of_layer s l = layer_row s.s_total l
+let of_layer_rx s l = layer_row s.s_rx l

@@ -5,10 +5,11 @@
     the simulated backend proves it with charged cycles, and this ledger
     proves the same for the native lane and for the engine's host-side
     buffer management (where the cost shows up as copies and GC churn
-    rather than simulated stalls).  Counters are plain module-global ints
-    — bumping one from a hot loop allocates nothing — and are sampled
-    with {!snapshot}/{!diff} around a measured region, exactly like the
-    simulator's {!Ilp_memsim.Stats} ledger.
+    rather than simulated stalls).  The counters live in the metrics
+    registry as [mem.<layer>.<kind>] — bumping one from a hot loop
+    allocates nothing — and are sampled with {!snapshot}/{!diff} around a
+    measured region, exactly like the simulator's {!Ilp_memsim.Stats}
+    ledger.
 
     Accounting convention: a blit is a {e copy} (read + write + copy), an
     in-place transform such as a cipher pass is read + write only, a
@@ -40,8 +41,8 @@ val alloc : layer -> int -> unit
 
     The plain entry points above are direction-blind totals.  Receive-path
     code charges through the [_rx] variants instead: each bumps the totals
-    {e and} a receive-side sub-ledger, mirrored as [mem.rx.<layer>.<kind>]
-    metrics, so per-direction consumers ([ilpbench mem] tx/rx columns and
+    {e and} a receive-side sub-ledger, the [mem.rx.<layer>.<kind>]
+    counters, so per-direction consumers ([ilpbench mem] tx/rx columns and
     gates) can split the ledger.  The send share of any counter is
     total minus rx. *)
 
@@ -57,9 +58,6 @@ val snapshot : unit -> snapshot
 
 (** [diff later earlier] — counter deltas over a measured region. *)
 val diff : snapshot -> snapshot -> snapshot
-
-(** Zero all counters (fresh benchmark run). *)
-val reset : unit -> unit
 
 val reads_total : snapshot -> int
 val writes_total : snapshot -> int

@@ -8,12 +8,13 @@
 
 module M = Ilp_obs.Metrics
 
-(* Process-wide mirrors of the per-pool counters below; conservation over
-   all pools, diffed per run by consumers. *)
-let m_acquired = M.counter M.default "pool.acquired"
-let m_released = M.counter M.default "pool.released"
-let m_fresh = M.counter M.default "pool.fresh_allocs"
-let m_dropped = M.counter M.default "pool.dropped"
+(* Each pool's counts live in its ledger; the registry counters sum them
+   over all pools. *)
+let family = M.family M.default
+let s_acquired = M.slot family "pool.acquired"
+let s_released = M.slot family "pool.released"
+let s_fresh = M.slot family "pool.fresh_allocs"
+let s_dropped = M.slot family "pool.dropped"
 let m_acquire_bytes = M.histogram M.default "pool.acquire_bytes"
 
 let min_size = 64
@@ -33,10 +34,7 @@ type t = {
   free : Bytes.t list array;
   counts : int array;
   class_cap : int;
-  mutable acquired : int;
-  mutable released : int;
-  mutable fresh_allocs : int;
-  mutable dropped : int;
+  ledger : M.ledger;
 }
 
 let create ?(class_cap = 8) () =
@@ -44,10 +42,7 @@ let create ?(class_cap = 8) () =
   { free = Array.make n_classes [];
     counts = Array.make n_classes 0;
     class_cap;
-    acquired = 0;
-    released = 0;
-    fresh_allocs = 0;
-    dropped = 0 }
+    ledger = M.ledger family }
 
 let class_size i = min_size lsl i
 
@@ -57,15 +52,13 @@ let class_index len =
   go 0
 
 let fresh t len =
-  t.fresh_allocs <- t.fresh_allocs + 1;
-  M.inc m_fresh 1;
+  M.bump t.ledger s_fresh 1;
   Memtraffic.alloc Memtraffic.Pool len;
   Bytes.create len
 
 let acquire t len =
   if len < 0 then invalid_arg "Pool.acquire: negative length";
-  t.acquired <- t.acquired + 1;
-  M.inc m_acquired 1;
+  M.bump t.ledger s_acquired 1;
   M.observe m_acquire_bytes len;
   if len > max_size then fresh t len
   else
@@ -78,31 +71,25 @@ let acquire t len =
     | [] -> fresh t (class_size i)
 
 let release t b =
-  t.released <- t.released + 1;
-  M.inc m_released 1;
+  M.bump t.ledger s_released 1;
   let n = Bytes.length b in
-  if n < min_size || n > max_size then begin
-    t.dropped <- t.dropped + 1;
-    M.inc m_dropped 1
-  end
+  if n < min_size || n > max_size then M.bump t.ledger s_dropped 1
   else
     let i = class_index n in
     (* Only exact class-sized buffers rejoin a free list: an odd-sized
        stranger would silently shrink the class's capacity guarantee. *)
-    if n <> class_size i || t.counts.(i) >= t.class_cap then begin
-      t.dropped <- t.dropped + 1;
-      M.inc m_dropped 1
-    end
+    if n <> class_size i || t.counts.(i) >= t.class_cap then
+      M.bump t.ledger s_dropped 1
     else begin
       t.free.(i) <- b :: t.free.(i);
       t.counts.(i) <- t.counts.(i) + 1
     end
 
-let stats t =
-  { acquired = t.acquired;
-    released = t.released;
-    outstanding = t.acquired - t.released;
-    fresh_allocs = t.fresh_allocs;
-    dropped = t.dropped }
+let outstanding t = M.count t.ledger s_acquired - M.count t.ledger s_released
 
-let outstanding t = t.acquired - t.released
+let stats t =
+  { acquired = M.count t.ledger s_acquired;
+    released = M.count t.ledger s_released;
+    outstanding = outstanding t;
+    fresh_allocs = M.count t.ledger s_fresh;
+    dropped = M.count t.ledger s_dropped }

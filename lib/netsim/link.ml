@@ -21,22 +21,21 @@ module Prng = struct
   let int t bound = int_of_float (float t *. float_of_int bound)
 end
 
-(* Unified-registry mirrors of the per-link [n_*] fields below: every
-   bump site updates both, so process-wide totals in [Metrics] always
-   equal the sum of per-link [stats] (the conservation test relies on
-   this). *)
+(* Each link's counts live in its ledger; the registry counters sum them
+   over all links. *)
 module M = Ilp_obs.Metrics
 
-let m_sent = M.counter M.default "link.sent"
-let m_delivered = M.counter M.default "link.delivered"
-let m_dropped = M.counter M.default "link.dropped"
-let m_duplicated = M.counter M.default "link.duplicated"
-let m_corrupted = M.counter M.default "link.corrupted"
-let m_truncated = M.counter M.default "link.truncated"
-let m_padded = M.counter M.default "link.padded"
-let m_burst_dropped = M.counter M.default "link.burst_dropped"
-let m_delay_spikes = M.counter M.default "link.delay_spikes"
-let m_tampered = M.counter M.default "link.tampered"
+let family = M.family M.default
+let s_sent = M.slot family "link.sent"
+let s_delivered = M.slot family "link.delivered"
+let s_dropped = M.slot family "link.dropped"
+let s_duplicated = M.slot family "link.duplicated"
+let s_corrupted = M.slot family "link.corrupted"
+let s_truncated = M.slot family "link.truncated"
+let s_padded = M.slot family "link.padded"
+let s_burst_dropped = M.slot family "link.burst_dropped"
+let s_delay_spikes = M.slot family "link.delay_spikes"
+let s_tampered = M.slot family "link.tampered"
 
 type gilbert = {
   p_enter_bad : float;  (* per-packet P(good -> bad) *)
@@ -86,16 +85,7 @@ type t = {
   impair_only : Datagram.t -> bool;
   tamper : (Datagram.t -> Datagram.t list) option;
   mutable in_bad_state : bool;
-  mutable n_sent : int;
-  mutable n_delivered : int;
-  mutable n_dropped : int;
-  mutable n_duplicated : int;
-  mutable n_corrupted : int;
-  mutable n_truncated : int;
-  mutable n_padded : int;
-  mutable n_burst_dropped : int;
-  mutable n_delay_spikes : int;
-  mutable n_tampered : int;
+  ledger : M.ledger;
 }
 
 let check_rate name r =
@@ -127,10 +117,7 @@ let create clock ?(delay_us = 50.0) ?(jitter_us = 0.0) ?(loss_rate = 0.0)
   in
   validate imp;
   { clock; imp; prng = Prng.create seed; deliver; impair_only; tamper;
-    in_bad_state = false;
-    n_sent = 0; n_delivered = 0; n_dropped = 0; n_duplicated = 0;
-    n_corrupted = 0; n_truncated = 0; n_padded = 0;
-    n_burst_dropped = 0; n_delay_spikes = 0; n_tampered = 0 }
+    in_bad_state = false; ledger = M.ledger family }
 
 (* Flip [bits] randomly chosen bits of the payload.  A one-bit flip is
    always caught by the Internet checksum; multi-bit flips can collide. *)
@@ -151,8 +138,7 @@ let mangle t payload =
   let payload =
     if imp.corrupt_rate > 0.0 && String.length payload > 0
        && Prng.float t.prng < imp.corrupt_rate then begin
-      t.n_corrupted <- t.n_corrupted + 1;
-      M.inc m_corrupted 1;
+      M.bump t.ledger s_corrupted 1;
       corrupt_payload t payload imp.corrupt_bits
     end
     else payload
@@ -160,16 +146,14 @@ let mangle t payload =
   let payload =
     if imp.truncate_rate > 0.0 && String.length payload > 0
        && Prng.float t.prng < imp.truncate_rate then begin
-      t.n_truncated <- t.n_truncated + 1;
-      M.inc m_truncated 1;
+      M.bump t.ledger s_truncated 1;
       String.sub payload 0 (Prng.int t.prng (String.length payload))
     end
     else payload
   in
   if imp.pad_rate > 0.0 && imp.pad_max > 0
      && Prng.float t.prng < imp.pad_rate then begin
-    t.n_padded <- t.n_padded + 1;
-    M.inc m_padded 1;
+    M.bump t.ledger s_padded 1;
     let extra = 1 + Prng.int t.prng imp.pad_max in
     payload ^ String.init extra (fun _ -> Char.chr (Int64.to_int (Prng.next t.prng) land 0xff))
   end
@@ -195,16 +179,14 @@ let enqueue t dgram =
   let extra =
     if imp.delay_spike_rate > 0.0 && Prng.float t.prng < imp.delay_spike_rate
     then begin
-      t.n_delay_spikes <- t.n_delay_spikes + 1;
-      M.inc m_delay_spikes 1;
+      M.bump t.ledger s_delay_spikes 1;
       extra +. imp.delay_spike_us
     end
     else extra
   in
   ignore
     (Simclock.schedule t.clock ~after:(imp.delay_us +. extra) (fun () ->
-         t.n_delivered <- t.n_delivered + 1;
-         M.inc m_delivered 1;
+         M.bump t.ledger s_delivered 1;
          t.deliver dgram))
 
 (* Run one datagram through the impairment pipeline.  Datagrams outside
@@ -215,18 +197,13 @@ let send_one t dgram =
   if not (t.impair_only dgram) then
     ignore
       (Simclock.schedule t.clock ~after:t.imp.delay_us (fun () ->
-           t.n_delivered <- t.n_delivered + 1;
-           M.inc m_delivered 1;
+           M.bump t.ledger s_delivered 1;
            t.deliver dgram))
-  else if t.imp.loss_rate > 0.0 && Prng.float t.prng < t.imp.loss_rate then begin
-    t.n_dropped <- t.n_dropped + 1;
-    M.inc m_dropped 1
-  end
+  else if t.imp.loss_rate > 0.0 && Prng.float t.prng < t.imp.loss_rate then
+    M.bump t.ledger s_dropped 1
   else if gilbert_drops t then begin
-    t.n_dropped <- t.n_dropped + 1;
-    t.n_burst_dropped <- t.n_burst_dropped + 1;
-    M.inc m_dropped 1;
-    M.inc m_burst_dropped 1
+    M.bump t.ledger s_dropped 1;
+    M.bump t.ledger s_burst_dropped 1
   end
   else begin
     let payload = mangle t dgram.Datagram.payload in
@@ -236,15 +213,13 @@ let send_one t dgram =
     in
     enqueue t dgram;
     if t.imp.dup_rate > 0.0 && Prng.float t.prng < t.imp.dup_rate then begin
-      t.n_duplicated <- t.n_duplicated + 1;
-      M.inc m_duplicated 1;
+      M.bump t.ledger s_duplicated 1;
       enqueue t dgram
     end
   end
 
 let send t dgram =
-  t.n_sent <- t.n_sent + 1;
-  M.inc m_sent 1;
+  M.bump t.ledger s_sent 1;
   match t.tamper with
   | None -> send_one t dgram
   | Some f ->
@@ -255,22 +230,21 @@ let send t dgram =
       let out = f dgram in
       (match out with
       | [ d ] when d == dgram -> ()
-      | _ ->
-          t.n_tampered <- t.n_tampered + 1;
-          M.inc m_tampered 1);
+      | _ -> M.bump t.ledger s_tampered 1);
       List.iter (send_one t) out
 
-let sent t = t.n_sent
-let delivered t = t.n_delivered
-let dropped t = t.n_dropped
-let duplicated t = t.n_duplicated
+let sent t = M.count t.ledger s_sent
+let delivered t = M.count t.ledger s_delivered
+let dropped t = M.count t.ledger s_dropped
+let duplicated t = M.count t.ledger s_duplicated
 
 let stats t =
-  { sent = t.n_sent; delivered = t.n_delivered; dropped = t.n_dropped;
-    duplicated = t.n_duplicated; corrupted = t.n_corrupted;
-    truncated = t.n_truncated; padded = t.n_padded;
-    burst_dropped = t.n_burst_dropped; delay_spikes = t.n_delay_spikes;
-    tampered = t.n_tampered }
+  let n = M.count t.ledger in
+  { sent = n s_sent; delivered = n s_delivered; dropped = n s_dropped;
+    duplicated = n s_duplicated; corrupted = n s_corrupted;
+    truncated = n s_truncated; padded = n s_padded;
+    burst_dropped = n s_burst_dropped; delay_spikes = n s_delay_spikes;
+    tampered = n s_tampered }
 
 let add_stats a b =
   { sent = a.sent + b.sent; delivered = a.delivered + b.delivered;

@@ -81,6 +81,35 @@ let observe h v =
   let b = bucket_of v in
   h.buckets.(b) <- h.buckets.(b) + 1
 
+(* ---- per-object ledgers ---- *)
+
+(* A family grows one slot per [slot] call until its first ledger exists;
+   from then on every ledger has one count per slot, so the family is
+   sealed. *)
+type family = { reg : t; mutable counters : counter array; mutable sealed : bool }
+type slot = int
+type ledger = { bound : counter array; counts : int array }
+
+let family reg = { reg; counters = [||]; sealed = false }
+
+let slot f name =
+  if f.sealed then
+    invalid_arg (Printf.sprintf "Metrics.slot: %S added after a ledger exists" name);
+  let c = counter f.reg name in
+  f.counters <- Array.append f.counters [| c |];
+  Array.length f.counters - 1
+
+let ledger f =
+  f.sealed <- true;
+  { bound = f.counters; counts = Array.make (Array.length f.counters) 0 }
+
+let bump l s n =
+  l.counts.(s) <- l.counts.(s) + n;
+  let c = l.bound.(s) in
+  c.c <- c.c + n
+
+let count l s = l.counts.(s)
+
 (* ---- snapshots ---- *)
 
 type hist = { count : int; sum : int; buckets : int array }
@@ -232,15 +261,3 @@ let to_json snap =
     snap;
   Buffer.add_string b "}";
   Buffer.contents b
-
-let reset t =
-  Hashtbl.iter
-    (fun _ e ->
-      match e with
-      | Ec c -> c.c <- 0
-      | Eg g -> g.g <- 0
-      | Eh h ->
-          h.count <- 0;
-          h.sum <- 0;
-          Array.fill h.buckets 0 n_buckets 0)
-    t.tbl

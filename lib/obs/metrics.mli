@@ -1,15 +1,17 @@
 (** Typed metrics registry: counters, gauges and log2-bucketed histograms.
 
-    One process-wide registry ([default]) unifies the bespoke ledgers kept
-    by [Link], [Tcp.Socket], [Rpc.Server], [Pool] and [Memtraffic].  Each
-    component registers its instruments once at module initialisation and
-    bumps them alongside its existing mutable record, so the historical
-    public stats accessors keep working while [snapshot]/[render] expose a
-    single unified surface.
+    One process-wide registry ([default]) is the store for every count the
+    stack keeps.  A component whose counts belong to an object ([Link],
+    [Tcp.Socket], [Rpc.Server], [Rpc.Client], [Pool], [Crashplan])
+    registers a {!family} of counters once at module initialisation and
+    gives each object a {!ledger}: one {!bump} raises the object's count
+    and the process-wide counter together, so the per-object stats
+    accessors and [snapshot]/[render] can never disagree.  Counts with no
+    owning object bump a counter directly with {!inc}.
 
     Instruments are monotonic for the life of the process (counters and
-    histograms only ever grow; [reset] exists for tests).  Callers that
-    want per-run figures take a snapshot before and after and [diff]. *)
+    histograms only ever grow).  Callers that want per-run figures take a
+    snapshot before and after and [diff]. *)
 
 type t
 (** A registry. *)
@@ -40,6 +42,36 @@ val set : gauge -> int -> unit
 val add_gauge : gauge -> int -> unit
 val gauge_value : gauge -> int
 val observe : histogram -> int -> unit
+
+(* ---- per-object ledgers ---- *)
+
+type family
+(** A fixed, ordered set of counters of one registry that per-object
+    ledgers are bound to. *)
+
+type slot
+(** One counter's position in its family. *)
+
+type ledger
+(** One object's counts, one per slot of its family. *)
+
+val family : t -> family
+(** An empty family of counters in the given registry. *)
+
+val slot : family -> string -> slot
+(** [slot f name] appends the registry counter [name] (find-or-create) to
+    [f].  Raises [Invalid_argument] if [name] is already registered as a
+    different instrument kind, or if a ledger of [f] already exists. *)
+
+val ledger : family -> ledger
+(** A fresh ledger, every count zero.  Seals the family. *)
+
+val bump : ledger -> slot -> int -> unit
+(** [bump l s n] adds [n] to the ledger's count and to the family's
+    registry counter at [s].  Never allocates. *)
+
+val count : ledger -> slot -> int
+(** The ledger's own count at a slot. *)
 
 val n_buckets : int
 val bucket_of : int -> int
@@ -84,6 +116,3 @@ val render : snapshot -> string
 
 val to_json : snapshot -> string
 (** Hand-rolled JSON object keyed by instrument name. *)
-
-val reset : t -> unit
-(** Zero every instrument (registrations survive).  Test use only. *)

@@ -60,23 +60,25 @@ type limits = {
   max_request_age_us : float;
 }
 
-(* Unified-registry mirrors of the bespoke server ledgers below; every
-   bump site updates both (the conservation test relies on it). *)
-let m_requests_received = M.counter M.default "rpc.requests_received"
-let m_bad_requests = M.counter M.default "rpc.bad_requests"
-let m_dedup_hits = M.counter M.default "rpc.server.dedup_hits"
-let m_executions = M.counter M.default "rpc.server.executions"
-let m_probes = M.counter M.default "rpc.server.probes"
-let m_replies_sent = M.counter M.default "rpc.replies_sent"
-let m_replies_abandoned = M.counter M.default "rpc.replies_abandoned"
-let m_statuses_abandoned = M.counter M.default "rpc.statuses_abandoned"
+(* Each server instance and each dedup store counts in its own ledger;
+   the registry counters sum them over all instances and stores. *)
+let family = M.family M.default
+let store_family = M.family M.default
+let s_requests_received = M.slot family "rpc.requests_received"
+let s_bad_requests = M.slot family "rpc.bad_requests"
+let s_dedup_hits = M.slot store_family "rpc.server.dedup_hits"
+let s_executions = M.slot store_family "rpc.server.executions"
+let s_probes = M.slot family "rpc.server.probes"
+let s_replies_sent = M.slot family "rpc.replies_sent"
+let s_replies_abandoned = M.slot family "rpc.replies_abandoned"
+let s_statuses_abandoned = M.slot family "rpc.statuses_abandoned"
 let g_connections = M.gauge M.default "rpc.connections"
 let g_queued_bytes = M.gauge M.default "rpc.queued_bytes"
 
-let m_sheds =
+let s_sheds =
   Array.of_list
     (List.map
-       (fun r -> M.counter M.default ("rpc.shed." ^ shed_reason_to_string r))
+       (fun r -> M.slot family ("rpc.shed." ^ shed_reason_to_string r))
        shed_reasons)
 
 let default_limits =
@@ -112,8 +114,7 @@ type store = {
   dedup_cap : int;
   dedup : (int, Messages.status) Hashtbl.t;
   dedup_order : int Queue.t;
-  mutable dedup_hits : int;
-  mutable executions : int;
+  s_ledger : M.ledger;  (* dedup hits and executions *)
   mutable id_requests_seen : int;  (* id-carrying requests decoded *)
   mutable dedup_sheds : int;  (* id-carrying requests shed, not cached *)
 }
@@ -124,8 +125,7 @@ let create_store ?(dedup_cap = 1024) () =
     dedup_cap;
     dedup = Hashtbl.create 64;
     dedup_order = Queue.create ();
-    dedup_hits = 0;
-    executions = 0;
+    s_ledger = M.ledger store_family;
     id_requests_seen = 0;
     dedup_sheds = 0 }
 
@@ -155,13 +155,7 @@ type t = {
   mutable live_connections : int;
   mutable total_queued_bytes : int;
   mutable peak_queued_bytes : int;
-  shed_ledger : int array;
-  mutable replies_sent : int;
-  mutable replies_abandoned : int;
-  mutable statuses_abandoned : int;
-  mutable requests_received : int;
-  mutable bad_requests : int;
-  mutable probes_received : int;
+  ledger : M.ledger;
   mutable probe_before : unit -> unit;
   mutable probe_after : wire_len:int -> elapsed_us:float -> syscopy_us:float -> unit;
 }
@@ -169,9 +163,7 @@ type t = {
 let machine t = (Engine.sim t.engine).Ilp_memsim.Sim.machine
 
 let count_shed t reason =
-  t.shed_ledger.(shed_reason_index reason) <-
-    t.shed_ledger.(shed_reason_index reason) + 1;
-  M.inc m_sheds.(shed_reason_index reason) 1;
+  M.bump t.ledger s_sheds.(shed_reason_index reason) 1;
   (* Sheds can precede admission, so there may be no connection yet;
      conn 0 stands for "the server itself". *)
   Recorder.note Recorder.Shed ~conn:0 ~arg:(shed_reason_index reason)
@@ -212,12 +204,8 @@ let mark_dead t conn =
       (fun item ->
         release_queue t conn (item_bytes item);
         match item with
-        | Data _ ->
-            t.replies_abandoned <- t.replies_abandoned + 1;
-            M.inc m_replies_abandoned 1
-        | Status _ ->
-            t.statuses_abandoned <- t.statuses_abandoned + 1;
-            M.inc m_statuses_abandoned 1)
+        | Data _ -> M.bump t.ledger s_replies_abandoned 1
+        | Status _ -> M.bump t.ledger s_statuses_abandoned 1)
       conn.queue;
     Queue.clear conn.queue;
     conn.draining <- false;
@@ -275,8 +263,7 @@ let send_reply t conn hdr ~payload_addr =
   | Ok () ->
       let elapsed_us = Machine.micros (machine t) -. before in
       let syscopy_us = Socket.take_syscopy_send_us conn.data in
-      t.replies_sent <- t.replies_sent + 1;
-      M.inc m_replies_sent 1;
+      M.bump t.ledger s_replies_sent 1;
       t.probe_after ~wire_len:sent_len ~elapsed_us ~syscopy_us;
       `Sent
   | Error (Socket.Buffer_full | Socket.Window_full | Socket.Not_established) ->
@@ -371,8 +358,7 @@ let file_prefix_crc t file ~len =
        ~off:file.addr ~len)
 
 let handle_probe t conn p =
-  t.probes_received <- t.probes_received + 1;
-  M.inc m_probes 1;
+  M.bump t.ledger s_probes 1;
   match Hashtbl.find_opt t.store.s_files p.Messages.p_file_name with
   | None -> enqueue_status t conn Messages.Not_found
   | Some file ->
@@ -380,8 +366,7 @@ let handle_probe t conn p =
         status_hdr ~file_offset:p.Messages.p_offset ~total_len:file.len st
       in
       if p.Messages.p_offset < 0 || p.Messages.p_offset > file.len then begin
-        t.bad_requests <- t.bad_requests + 1;
-        M.inc m_bad_requests 1;
+        M.bump t.ledger s_bad_requests 1;
         enqueue_hdr t conn (hdr Messages.Refused)
       end
       else if file_prefix_crc t file ~len:p.Messages.p_offset = p.Messages.p_crc
@@ -402,8 +387,7 @@ let handle_req t conn req =
   | Some cached ->
       (* At-most-once replay: answer from the cache with a data-less
          status; the work is not re-executed. *)
-      t.store.dedup_hits <- t.store.dedup_hits + 1;
-      M.inc m_dedup_hits 1;
+      M.bump t.store.s_ledger s_dedup_hits 1;
       enqueue_status t conn cached
   | None ->
       if not conn.admitted then begin
@@ -425,8 +409,7 @@ let handle_req t conn req =
             then begin
               (* A resume point outside the file is a malformed request,
                  not a load shed. *)
-              t.bad_requests <- t.bad_requests + 1;
-              M.inc m_bad_requests 1;
+              M.bump t.ledger s_bad_requests 1;
               shed_idd ();
               enqueue_status t conn Messages.Refused
             end
@@ -457,8 +440,7 @@ let handle_req t conn req =
               end
               else begin
                 if idd then begin
-                  t.store.executions <- t.store.executions + 1;
-                  M.inc m_executions 1;
+                  M.bump t.store.s_ledger s_executions 1;
                   store_cache_put t.store ~req_id:req.Messages.req_id Messages.Ok
                 end;
                 if request_bytes <= 0 then
@@ -493,8 +475,7 @@ let handle_req t conn req =
               end)
 
 let handle_request t conn ~len =
-  t.requests_received <- t.requests_received + 1;
-  M.inc m_requests_received 1;
+  M.bump t.ledger s_requests_received 1;
   match
     let length_at_end = Engine.header_style t.engine = Engine.Trailer in
     let crc_trailer = Engine.crc32 t.engine in
@@ -516,8 +497,7 @@ let handle_request t conn ~len =
             r)
   with
   | Error _ ->
-      t.bad_requests <- t.bad_requests + 1;
-      M.inc m_bad_requests 1;
+      M.bump t.ledger s_bad_requests 1;
       enqueue_status t conn Messages.Not_found
   | Ok (c, flags) ->
       (* A flagged control message negotiates capabilities for the whole
@@ -543,13 +523,7 @@ let create ~clock ~engine ?(retry_us = 150.0) ?(limits = default_limits)
     live_connections = 0;
     total_queued_bytes = 0;
     peak_queued_bytes = 0;
-    shed_ledger = Array.make (List.length shed_reasons) 0;
-    replies_sent = 0;
-    replies_abandoned = 0;
-    statuses_abandoned = 0;
-    requests_received = 0;
-    bad_requests = 0;
-    probes_received = 0;
+    ledger = M.ledger family;
     probe_before = (fun () -> ());
     probe_after = (fun ~wire_len:_ ~elapsed_us:_ ~syscopy_us:_ -> ()) }
 
@@ -601,22 +575,22 @@ let pending_replies t =
 let connections t = t.live_connections
 let queued_bytes t = t.total_queued_bytes
 let peak_queued_bytes t = t.peak_queued_bytes
-let replies_sent t = t.replies_sent
-let replies_abandoned t = t.replies_abandoned
-let statuses_abandoned t = t.statuses_abandoned
-let requests_received t = t.requests_received
-let bad_requests t = t.bad_requests
-let probes_received t = t.probes_received
+let replies_sent t = M.count t.ledger s_replies_sent
+let replies_abandoned t = M.count t.ledger s_replies_abandoned
+let statuses_abandoned t = M.count t.ledger s_statuses_abandoned
+let requests_received t = M.count t.ledger s_requests_received
+let bad_requests t = M.count t.ledger s_bad_requests
+let probes_received t = M.count t.ledger s_probes
 let timer_owner t = t.owner
 let store t = t.store
-let dedup_hits st = st.dedup_hits
-let executions st = st.executions
+let dedup_hits st = M.count st.s_ledger s_dedup_hits
+let executions st = M.count st.s_ledger s_executions
 let id_requests_seen st = st.id_requests_seen
 let dedup_sheds st = st.dedup_sheds
 let dedup_cached st = Hashtbl.length st.dedup
-let shed_count t reason = t.shed_ledger.(shed_reason_index reason)
+let shed_count t reason = M.count t.ledger s_sheds.(shed_reason_index reason)
 let sheds t = List.map (fun r -> (r, shed_count t r)) shed_reasons
-let sheds_total t = Array.fold_left ( + ) 0 t.shed_ledger
+let sheds_total t = List.fold_left (fun n r -> n + shed_count t r) 0 shed_reasons
 
 let set_reply_probe t ~before ~after =
   t.probe_before <- before;

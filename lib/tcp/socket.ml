@@ -50,20 +50,11 @@ type config = {
   recv_window : int;
   rto_initial_us : float;
   rto_min_us : float;
-  rto_max_us : float;
-  max_retries : int;
-  control_ops : int;
-  ack_ops : int;
-  blit_unit : int;
   ack_delay_us : float;
-  dupack_threshold : int;
   congestion_control : bool;
   sack : bool;
   ooo_slots : int;
-  persist_initial_us : float;
-  persist_max_us : float;
   stall_deadline_us : float;
-  max_pending_streams : int;
   max_tsdu : int;
 }
 
@@ -73,21 +64,32 @@ let default_config =
     recv_window = 16 * 1024;
     rto_initial_us = 3_000.0;
     rto_min_us = 1_000.0;
-    rto_max_us = 4_000_000.0;
-    max_retries = 8;
-    control_ops = 1200;
-    ack_ops = 150;
-    blit_unit = 4;
     ack_delay_us = 0.0;
-    dupack_threshold = 3;
     congestion_control = true;
     sack = true;
     ooo_slots = 0;
-    persist_initial_us = 5_000.0;
-    persist_max_us = 320_000.0;
     stall_deadline_us = 3_000_000.0;
-    max_pending_streams = 8;
     max_tsdu = 0 }
+
+let rto_max_us = 4_000_000.0
+let max_retries = 8  (* data, handshake and FIN retransmissions *)
+
+(* ALU ops charged per data segment for tcp_output/tcp_input state
+   processing, and for the short path: pure control segments and the
+   per-segment kernel demultiplex/lookup. *)
+let control_ops = 1200
+let ack_ops = 150
+
+let blit_unit = 4  (* access width of the copy loops *)
+let dupack_threshold = 3  (* duplicate acks that trigger a fast retransmit *)
+
+(* Zero-window persist probing: the first interval doubles per probe up
+   to the ceiling. *)
+let persist_initial_us = 5_000.0
+let persist_max_us = 320_000.0
+
+(* TSDUs [send_stream] queues before reporting [Buffer_full]. *)
+let max_pending_streams = 8
 
 type rx_processing =
   | Rx_raw
@@ -155,9 +157,6 @@ let keepalive_verdict_to_string = function
   | Peer_reset -> "peer reset the connection"
   | Peer_silent -> "peer silent past the keepalive probe budget"
 
-(* Unified-registry mirrors of the per-socket counters: bumped at the
-   same sites as the mutable fields, so process totals equal the sum of
-   per-socket [stats]/[drops] (checked by the conservation test). *)
 module M = Ilp_obs.Metrics
 module Trace = Ilp_obs.Trace
 module Recorder = Ilp_obs.Recorder
@@ -174,37 +173,37 @@ let () =
         abort_reason_to_string all_abort_reasons.(i)
       else string_of_int i)
 
-let m_segments_sent = M.counter M.default "tcp.segments_sent"
-let m_segments_received = M.counter M.default "tcp.segments_received"
-let m_bytes_sent = M.counter M.default "tcp.bytes_sent"
-let m_bytes_delivered = M.counter M.default "tcp.bytes_delivered"
-let m_retransmissions = M.counter M.default "tcp.retransmissions"
-let m_checksum_failures = M.counter M.default "tcp.checksum_failures"
-let m_out_of_order = M.counter M.default "tcp.out_of_order"
-let m_duplicates = M.counter M.default "tcp.duplicates"
-let m_acks_sent = M.counter M.default "tcp.acks_sent"
-let m_ip_errors = M.counter M.default "tcp.ip_errors"
-let m_fast_retransmits = M.counter M.default "tcp.fast_retransmits"
-let m_persist_probes = M.counter M.default "tcp.persist_probes"
+(* Each socket's counts live in its ledger ([stats], [drops]); the
+   registry counters sum them over all sockets.  Counts kept only
+   process-wide bump the registry directly: the resets [reset_for] sends
+   for a crashed host (no socket exists), and the abort and zero-window
+   stall tallies, which no per-socket accessor reports. *)
+let family = M.family M.default
+let s_segments_sent = M.slot family "tcp.segments_sent"
+let s_segments_received = M.slot family "tcp.segments_received"
+let s_bytes_sent = M.slot family "tcp.bytes_sent"
+let s_bytes_delivered = M.slot family "tcp.bytes_delivered"
+let s_retransmissions = M.slot family "tcp.retransmissions"
+let s_checksum_failures = M.slot family "tcp.checksum_failures"
+let s_out_of_order = M.slot family "tcp.out_of_order"
+let s_duplicates = M.slot family "tcp.duplicates"
+let s_acks_sent = M.slot family "tcp.acks_sent"
+let s_ip_errors = M.slot family "tcp.ip_errors"
+let s_fast_retransmits = M.slot family "tcp.fast_retransmits"
+let s_persist_probes = M.slot family "tcp.persist_probes"
 let m_zero_window_stalls = M.counter M.default "tcp.zero_window_stalls"
 let m_seg_payload = M.histogram M.default "tcp.segment_payload_bytes"
-
-(* SACK loss recovery and misbehaving-peer hardening (PR 7). *)
-(* Node crash/restart fault model (PR 8). *)
-(* Receive-side contiguous zero-copy (PR 9): out-of-order segments of a
-   framed TSDU verified and decrypted at arrival into final placement. *)
-let m_ooo_placed = M.counter M.default "tcp.ooo_placed"
-
-let m_rst_tx = M.counter M.default "tcp.rst_tx"
-let m_rst_rx = M.counter M.default "tcp.rst_rx"
-let m_keepalive_probes = M.counter M.default "tcp.keepalive_probes"
-
-let m_rto_fallbacks = M.counter M.default "tcp.rto_fallbacks"
-let m_sack_blocks_rx = M.counter M.default "tcp.sack_blocks_rx"
-let m_sack_blocks_tx = M.counter M.default "tcp.sack_blocks_tx"
-let m_sack_invalid = M.counter M.default "tcp.sack_invalid"
-let m_sack_retransmits = M.counter M.default "tcp.sack_retransmits"
-let m_spurious_retransmits = M.counter M.default "tcp.spurious_retransmits"
+let s_ooo_placed = M.slot family "tcp.ooo_placed"
+let s_rst_tx = M.slot family "tcp.rst_tx"
+let m_rst_tx_unowned = M.counter M.default "tcp.rst_tx"
+let s_rst_rx = M.slot family "tcp.rst_rx"
+let s_keepalive_probes = M.slot family "tcp.keepalive_probes"
+let s_rto_fallbacks = M.slot family "tcp.rto_fallbacks"
+let s_sack_blocks_rx = M.slot family "tcp.sack_blocks_rx"
+let s_sack_blocks_tx = M.slot family "tcp.sack_blocks_tx"
+let s_sack_invalid = M.slot family "tcp.sack_invalid"
+let s_sack_retransmits = M.slot family "tcp.sack_retransmits"
+let s_spurious_retransmits = M.slot family "tcp.spurious_retransmits"
 
 (* Congestion-control observability (last-writer-wins across sockets:
    meaningful for the usual one-bulk-sender worlds, and the conservation
@@ -223,10 +222,10 @@ let m_seg_rexmits = M.histogram M.default "tcp.segment_retransmits"
    sampler derives p50/p90/p99 tracks and SLO verdicts from this. *)
 let m_ack_rtt = M.histogram M.default "tcp.ack_rtt_us"
 
-let m_drops =
+let s_drops =
   Array.of_list
     (List.map
-       (fun r -> M.counter M.default ("tcp.drop." ^ drop_reason_to_string r))
+       (fun r -> M.slot family ("tcp.drop." ^ drop_reason_to_string r))
        drop_reasons)
 
 let abort_counter =
@@ -331,7 +330,6 @@ type t = {
   rto : Rto.t;
   mutable retries : int;
   mutable dupacks : int;
-  mutable fast_retransmits : int;
   mutable cwnd : int;
   mutable ssthresh : int;
   (* NewReno-style fast recovery: [in_recovery] from the third duplicate
@@ -348,13 +346,6 @@ type t = {
   mutable last_ooo_seq : int;  (* most recent out-of-order arrival *)
   mutable dsack_pending : (int * int) option;
       (* duplicate arrival to report as a D-SACK first block on the next ack *)
-  (* Sender-side SACK/hardening ledgers. *)
-  mutable rto_fallbacks_n : int;
-  mutable sack_blocks_rx_n : int;
-  mutable sack_blocks_tx_n : int;
-  mutable sack_invalid_n : int;
-  mutable sack_retransmits_n : int;
-  mutable spurious_retransmits_n : int;
   (* Receive-side TSDU reassembly: bytes of the current multi-segment
      TSDU already accepted in order.  The engine rx handlers place each
      segment's plaintext at this offset in their application area; the
@@ -376,7 +367,6 @@ type t = {
      offset, so the drain is pure bookkeeping; seq -> (payload_len,
      psh).  Disjoint from the [ooo] stash by construction. *)
   placed : (int, int * bool) Hashtbl.t;
-  mutable ooo_placed_n : int;
   rx_asm : int;  (* Rx_raw reassembly area *)
   rx_asm_len : int;
   mutable delayed_ack : Simclock.timer option;
@@ -387,37 +377,24 @@ type t = {
   mutable persist_shifts : int;
   mutable persist_want : int;  (* message length awaiting window space *)
   mutable stalled_since : float option;
-  mutable persist_probes_n : int;
   probe_buf : int;  (* one already-acknowledged garbage byte to probe with *)
   mutable pending_close : bool;
   mutable ctl_timer : Simclock.timer option;  (* SYN / FIN retransmission *)
   mutable ctl_retries : int;
   mutable rx_proc : rx_processing;
   mutable on_message : src:int -> len:int -> unit;
-  mutable segments_sent : int;
-  mutable segments_received : int;
-  mutable bytes_sent : int;
-  mutable bytes_delivered : int;
-  mutable retransmissions : int;
-  mutable checksum_failures : int;
-  mutable out_of_order_n : int;
-  mutable duplicates : int;
-  mutable acks_sent : int;
-  mutable ip_errors : int;
   mutable ip_ident : int;
   mutable syscopy_send_cycles_us : float;
-  drop_ledger : int array;  (* indexed by drop_reason_index *)
+  ledger : M.ledger;  (* [stats] and [drops] counts *)
   mutable failed : abort_reason option;
   mutable on_abort : abort_reason -> unit;
-  (* Node crash/restart fault model (PR 8).  [owner] tags every timer
+  (* Node crash/restart fault model.  [owner] tags every timer
      this socket schedules, so teardown can be audited with
      [Simclock.pending_count]; [destroyed] marks a socket torn down by a
      host crash — subsequent segments addressed to it answer with RST. *)
   owner : int;
   mutable destroyed : bool;
   mutable tw_timer : Simclock.timer option;  (* TIME_WAIT expiry *)
-  mutable rst_tx_n : int;
-  mutable rst_rx_n : int;
   (* Keepalive probing for half-open connections (peer restarted while
      this endpoint was idle): probe with an already-acknowledged byte at a
      fixed interval; an answering ack proves the peer alive, an RST or
@@ -427,7 +404,6 @@ type t = {
   mutable ka_max_probes : int;
   mutable ka_unanswered : int;
   mutable ka_on_result : (keepalive_verdict -> unit) option;
-  mutable keepalive_probes_n : int;
 }
 
 let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
@@ -480,10 +456,9 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
     streams = Queue.create ();
     rto_timer = None;
     rto = Rto.create ~initial_us:cfg.rto_initial_us ~min_us:cfg.rto_min_us
-            ~max_us:cfg.rto_max_us ();
+            ~max_us:rto_max_us ();
     retries = 0;
     dupacks = 0;
-    fast_retransmits = 0;
     cwnd = 2 * cfg.mss;
     ssthresh = 64 * 1024;
     in_recovery = false;
@@ -492,19 +467,12 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
     cc_acked = 0;
     last_ooo_seq = -1;
     dsack_pending = None;
-    rto_fallbacks_n = 0;
-    sack_blocks_rx_n = 0;
-    sack_blocks_tx_n = 0;
-    sack_invalid_n = 0;
-    sack_retransmits_n = 0;
-    spurious_retransmits_n = 0;
     rx_tsdu_off = 0;
     rx_framing = false;
     fr_base = 0;
     fr_plen = 0;
     fr_elen = -1;
     placed = Hashtbl.create 8;
-    ooo_placed_n = 0;
     rx_asm;
     rx_asm_len;
     delayed_ack = None;
@@ -512,39 +480,25 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
     persist_shifts = 0;
     persist_want = 0;
     stalled_since = None;
-    persist_probes_n = 0;
     probe_buf;
     pending_close = false;
     ctl_timer = None;
     ctl_retries = 0;
     rx_proc = Rx_raw;
     on_message = (fun ~src:_ ~len:_ -> ());
-    segments_sent = 0;
-    segments_received = 0;
-    bytes_sent = 0;
-    bytes_delivered = 0;
-    retransmissions = 0;
-    checksum_failures = 0;
-    out_of_order_n = 0;
-    duplicates = 0;
-    acks_sent = 0;
-    ip_errors = 0;
     ip_ident = local_port * 1000;
     syscopy_send_cycles_us = 0.0;
-    drop_ledger = Array.make (List.length drop_reasons) 0;
+    ledger = M.ledger family;
     failed = None;
     on_abort = (fun _ -> ());
     owner = Simclock.fresh_owner clock;
     destroyed = false;
     tw_timer = None;
-    rst_tx_n = 0;
-    rst_rx_n = 0;
     ka_timer = None;
     ka_interval_us = 0.0;
     ka_max_probes = 0;
     ka_unanswered = 0;
-    ka_on_result = None;
-    keepalive_probes_n = 0 }
+    ka_on_result = None }
 
 let state t = t.st
 let local_port t = t.local_port
@@ -556,13 +510,10 @@ let set_on_abort t f = t.on_abort <- f
 let failure t = t.failed
 let timer_owner t = t.owner
 let destroyed t = t.destroyed
-let count_drop t reason =
-  t.drop_ledger.(drop_reason_index reason) <-
-    t.drop_ledger.(drop_reason_index reason) + 1;
-  M.inc m_drops.(drop_reason_index reason) 1
-let drop_count t reason = t.drop_ledger.(drop_reason_index reason)
+let count_drop t reason = M.bump t.ledger s_drops.(drop_reason_index reason) 1
+let drop_count t reason = M.count t.ledger s_drops.(drop_reason_index reason)
 let drops t = List.map (fun r -> (r, drop_count t r)) drop_reasons
-let drops_total t = Array.fold_left ( + ) 0 t.drop_ledger
+let drops_total t = List.fold_left (fun n r -> n + drop_count t r) 0 drop_reasons
 let bytes_in_flight t = Queue.fold (fun acc seg -> acc + seg.len) 0 t.txq
 let send_space t = Ring.available t.ring
 let congestion_window t = t.cwnd
@@ -617,29 +568,30 @@ let on_congestion_ack t ~acked =
   end
 
 let stats t =
-  { segments_sent = t.segments_sent;
-    segments_received = t.segments_received;
-    bytes_sent = t.bytes_sent;
-    bytes_delivered = t.bytes_delivered;
-    retransmissions = t.retransmissions;
-    checksum_failures = t.checksum_failures;
-    out_of_order = t.out_of_order_n;
-    ooo_placed = t.ooo_placed_n;
-    duplicates = t.duplicates;
-    acks_sent = t.acks_sent;
-    ip_errors = t.ip_errors;
-    fast_retransmits = t.fast_retransmits;
-    persist_probes = t.persist_probes_n;
+  let l = t.ledger in
+  { segments_sent = M.count l s_segments_sent;
+    segments_received = M.count l s_segments_received;
+    bytes_sent = M.count l s_bytes_sent;
+    bytes_delivered = M.count l s_bytes_delivered;
+    retransmissions = M.count l s_retransmissions;
+    checksum_failures = M.count l s_checksum_failures;
+    out_of_order = M.count l s_out_of_order;
+    ooo_placed = M.count l s_ooo_placed;
+    duplicates = M.count l s_duplicates;
+    acks_sent = M.count l s_acks_sent;
+    ip_errors = M.count l s_ip_errors;
+    fast_retransmits = M.count l s_fast_retransmits;
+    persist_probes = M.count l s_persist_probes;
     peak_in_flight = t.peak_in_flight;
-    rto_fallbacks = t.rto_fallbacks_n;
-    sack_blocks_rx = t.sack_blocks_rx_n;
-    sack_blocks_tx = t.sack_blocks_tx_n;
-    sack_invalid = t.sack_invalid_n;
-    sack_retransmits = t.sack_retransmits_n;
-    spurious_retransmits = t.spurious_retransmits_n;
-    rst_tx = t.rst_tx_n;
-    rst_rx = t.rst_rx_n;
-    keepalive_probes = t.keepalive_probes_n }
+    rto_fallbacks = M.count l s_rto_fallbacks;
+    sack_blocks_rx = M.count l s_sack_blocks_rx;
+    sack_blocks_tx = M.count l s_sack_blocks_tx;
+    sack_invalid = M.count l s_sack_invalid;
+    sack_retransmits = M.count l s_sack_retransmits;
+    spurious_retransmits = M.count l s_spurious_retransmits;
+    rst_tx = M.count l s_rst_tx;
+    rst_rx = M.count l s_rst_rx;
+    keepalive_probes = M.count l s_keepalive_probes }
 
 let ooo_capacity t = t.ooo_slots
 
@@ -671,17 +623,17 @@ let transmit t header ~payload =
   (* Full tcp_output state processing for data segments; the short path
      for pure control segments. *)
   Machine.compute (machine t)
-    (match payload with Some _ -> t.cfg.control_ops | None -> t.cfg.ack_ops);
+    (match payload with Some _ -> control_ops | None -> ack_ops);
   let payload_len = match payload with None -> 0 | Some (_, len) -> len in
   let hlen = Tcp_header.wire_size header in
   let before = Machine.micros (machine t) in
   Mem.blit (mem t) ~src:t.hdr_area ~dst:t.tx_kernel ~len:hlen
-    ~unit_len:t.cfg.blit_unit;
+    ~unit_len:blit_unit;
   (match payload with
   | None -> ()
   | Some (addr, len) ->
       Mem.blit (mem t) ~src:addr ~dst:(t.tx_kernel + hlen) ~len
-        ~unit_len:t.cfg.blit_unit);
+        ~unit_len:blit_unit);
   t.syscopy_send_cycles_us <-
     t.syscopy_send_cycles_us +. (Machine.micros (machine t) -. before);
   let segment =
@@ -695,8 +647,7 @@ let transmit t header ~payload =
     Ipv4.make ~ident:t.ip_ident ~src:Ipv4.loopback ~dst:Ipv4.loopback
       ~payload_len:(String.length segment) ()
   in
-  t.segments_sent <- t.segments_sent + 1;
-  M.inc m_segments_sent 1;
+  M.bump t.ledger s_segments_sent 1;
   M.observe m_seg_payload payload_len;
   if Trace.enabled () && payload_len > 0 then
     Trace.instant ~arg:payload_len Trace.Send_link
@@ -774,8 +725,7 @@ let send_ack_control t =
         ~src_port:t.local_port ~dst_port:t.remote_port ()
     in
     let n = List.length h.Tcp_header.sack in
-    t.sack_blocks_tx_n <- t.sack_blocks_tx_n + n;
-    M.inc m_sack_blocks_tx n;
+    M.bump t.ledger s_sack_blocks_tx n;
     if Trace.enabled () then
       Trace.instant ~arg:n Trace.Tcp_sack ~packet:(Trace.current_packet ())
         ~ts:(Machine.micros (machine t));
@@ -792,8 +742,7 @@ let send_ack_now t =
       Simclock.cancel timer;
       t.delayed_ack <- None
   | None -> ());
-  t.acks_sent <- t.acks_sent + 1;
-  M.inc m_acks_sent 1;
+  M.bump t.ledger s_acks_sent 1;
   send_ack_control t
 
 (* RFC 1122-style delayed acknowledgement: hold the ack briefly so it can
@@ -808,8 +757,7 @@ let send_ack t =
         let timer =
           Simclock.schedule t.clock ~owner:t.owner ~after:t.cfg.ack_delay_us (fun () ->
               t.delayed_ack <- None;
-              t.acks_sent <- t.acks_sent + 1;
-              M.inc m_acks_sent 1;
+              M.bump t.ledger s_acks_sent 1;
               send_ack_control t)
         in
         t.delayed_ack <- Some timer
@@ -890,7 +838,7 @@ let rec arm_ctl_timer t ~flags =
   Option.iter Simclock.cancel t.ctl_timer;
   let timer =
     Simclock.schedule t.clock ~owner:t.owner ~after:(Rto.timeout_us t.rto) (fun () ->
-        if t.ctl_retries >= t.cfg.max_retries then
+        if t.ctl_retries >= max_retries then
           abort t
             (if flags land Tcp_header.syn <> 0 then Handshake_failed
              else Close_timeout)
@@ -930,8 +878,7 @@ let cancel_persist t =
    carries the peer's current window — so a reopened window is discovered
    even if the peer's window-update ack was lost. *)
 let send_probe t =
-  t.persist_probes_n <- t.persist_probes_n + 1;
-  M.inc m_persist_probes 1;
+  M.bump t.ledger s_persist_probes 1;
   Recorder.note Recorder.Persist_probe ~conn:t.local_port
     ~arg:t.persist_shifts ~ts:(Machine.micros (machine t));
   if Trace.enabled () then
@@ -983,8 +930,7 @@ let send_rst t (h : Tcp_header.t) ~payload_len =
   (* Never reset a reset: that way lies an RST storm. *)
   if not (Tcp_header.has h Tcp_header.rst) then begin
     let r = rst_reply_header h ~payload_len ~src_port:t.local_port in
-    t.rst_tx_n <- t.rst_tx_n + 1;
-    M.inc m_rst_tx 1;
+    M.bump t.ledger s_rst_tx 1;
     Recorder.note Recorder.Rst_tx ~conn:t.local_port ~arg:0
       ~ts:(Machine.micros (machine t));
     if Trace.enabled () then
@@ -993,15 +939,14 @@ let send_rst t (h : Tcp_header.t) ~payload_len =
     (* Bypass [transmit]: the reset goes back to the segment's source
        port, not [t.remote_port] (stale or unset on a dead socket), and a
        dead socket charges only the short control path. *)
-    Machine.compute (machine t) t.cfg.ack_ops;
+    Machine.compute (machine t) ack_ops;
     t.ip_ident <- (t.ip_ident + 1) land 0xffff;
     let wire = Tcp_header.to_string r in
     let ip =
       Ipv4.make ~ident:t.ip_ident ~src:Ipv4.loopback ~dst:Ipv4.loopback
         ~payload_len:(String.length wire) ()
     in
-    t.segments_sent <- t.segments_sent + 1;
-    M.inc m_segments_sent 1;
+    M.bump t.ledger s_segments_sent 1;
     t.wire_out
       (Datagram.create ~src_port:t.local_port ~dst_port:h.Tcp_header.src_port
          ~payload:(Ipv4.encapsulate ip wire))
@@ -1027,7 +972,7 @@ let reset_for (dgram : Datagram.t) =
             let r =
               rst_reply_header h ~payload_len ~src_port:dgram.Datagram.dst_port
             in
-            M.inc m_rst_tx 1;
+            M.inc m_rst_tx_unowned 1;
             Recorder.note Recorder.Rst_tx ~conn:dgram.Datagram.dst_port
               ~arg:0 ~ts:(Trace.now ());
             if Trace.enabled () then
@@ -1059,8 +1004,7 @@ let reset_for (dgram : Datagram.t) =
 let probe_wire_states = [ Established; Close_wait; Fin_wait_1; Fin_wait_2 ]
 
 let send_keepalive_probe t =
-  t.keepalive_probes_n <- t.keepalive_probes_n + 1;
-  M.inc m_keepalive_probes 1;
+  M.bump t.ledger s_keepalive_probes 1;
   Recorder.note Recorder.Keepalive ~conn:t.local_port ~arg:t.ka_unanswered
     ~ts:(Machine.micros (machine t));
   if Trace.enabled () then
@@ -1145,8 +1089,8 @@ let handle_reset t =
   abort t Connection_reset
 
 let persist_interval_us t =
-  min t.cfg.persist_max_us
-    (t.cfg.persist_initial_us *. (2.0 ** float_of_int t.persist_shifts))
+  min persist_max_us
+    (persist_initial_us *. (2.0 ** float_of_int t.persist_shifts))
 
 let rec arm_persist t ~want =
   t.persist_want <- want;
@@ -1192,8 +1136,7 @@ let rec arm_rto t =
   else t.rto_timer <- None
 
 and retransmit_seg t seg =
-  t.retransmissions <- t.retransmissions + 1;
-  M.inc m_retransmissions 1;
+  M.bump t.ledger s_retransmissions 1;
   Recorder.note Recorder.Retransmit ~conn:t.local_port ~arg:seg.seq
     ~ts:(Machine.micros (machine t));
   if Trace.enabled () then
@@ -1221,11 +1164,10 @@ and on_rto t =
   match Queue.peek_opt t.txq with
   | None -> t.rto_timer <- None
   | Some seg ->
-      if t.retries >= t.cfg.max_retries then abort t Retry_exhausted
+      if t.retries >= max_retries then abort t Retry_exhausted
       else begin
         t.retries <- t.retries + 1;
-        t.rto_fallbacks_n <- t.rto_fallbacks_n + 1;
-        M.inc m_rto_fallbacks 1;
+        M.bump t.ledger s_rto_fallbacks 1;
         (* Full reneging tolerance (RFC 2018 §8): on timeout every
            scoreboard hint is discarded and recovery restarts from the
            cumulative ack alone — a receiver that SACKed data and then
@@ -1289,7 +1231,7 @@ let sack_retransmit_holes t =
         (fun s ->
           if s.sacked then incr seen
           else begin
-            let lost = total_sacked - !seen >= t.cfg.dupack_threshold in
+            let lost = total_sacked - !seen >= dupack_threshold in
             if (not lost) || not (eligible s) then pipe := !pipe + s.len
           end)
         t.txq;
@@ -1300,13 +1242,12 @@ let sack_retransmit_holes t =
           else begin
             let sacked_above = total_sacked - !seen in
             if
-              sacked_above >= t.cfg.dupack_threshold
+              sacked_above >= dupack_threshold
               && eligible s && !pipe < cap
             then begin
               s.sack_rexmit <- true;
               s.sack_rexmit_at <- now;
-              t.sack_retransmits_n <- t.sack_retransmits_n + 1;
-              M.inc m_sack_retransmits 1;
+              M.bump t.ledger s_sack_retransmits 1;
               Recorder.note Recorder.Sack_retransmit ~conn:t.local_port
                 ~arg:s.seq ~ts:(Machine.micros (machine t));
               if Trace.enabled () then
@@ -1333,8 +1274,7 @@ let process_sack t (h : Tcp_header.t) =
   | [] -> ()
   | blocks ->
       let invalid () =
-        t.sack_invalid_n <- t.sack_invalid_n + 1;
-        M.inc m_sack_invalid 1
+        M.bump t.ledger s_sack_invalid 1
       in
       let accepted = ref [] in
       (* RFC 2883: a first block wholly contained in a later block of the
@@ -1349,8 +1289,7 @@ let process_sack t (h : Tcp_header.t) =
         | (l, r) :: rest
           when l < r && r <= t.snd_nxt
                && List.exists (fun (al, ar) -> al <= l && r <= ar) rest ->
-            t.spurious_retransmits_n <- t.spurious_retransmits_n + 1;
-            M.inc m_spurious_retransmits 1;
+            M.bump t.ledger s_spurious_retransmits 1;
             rest
         | _ -> blocks
       in
@@ -1358,16 +1297,14 @@ let process_sack t (h : Tcp_header.t) =
         (fun (l, r) ->
           if l >= r || r > t.snd_nxt then invalid ()
           else if r <= h.Tcp_header.ack then begin
-            t.spurious_retransmits_n <- t.spurious_retransmits_n + 1;
-            M.inc m_spurious_retransmits 1
+            M.bump t.ledger s_spurious_retransmits 1
           end
           else if List.exists (fun (al, ar) -> l < ar && al < r) !accepted
           then invalid ()
           else begin
             let l = max l h.Tcp_header.ack in
             accepted := (l, r) :: !accepted;
-            t.sack_blocks_rx_n <- t.sack_blocks_rx_n + 1;
-            M.inc m_sack_blocks_rx 1;
+            M.bump t.ledger s_sack_blocks_rx 1;
             Queue.iter
               (fun s ->
                 if (not s.sacked) && s.seq >= l && s.seq + s.len <= r then
@@ -1419,8 +1356,7 @@ let send_data_segment t ~addr ~len ~psh ~payload_acc =
       sack_rexmit_at = 0.0 }
     t.txq;
   t.snd_nxt <- t.snd_nxt + len;
-  t.bytes_sent <- t.bytes_sent + len;
-  M.inc m_bytes_sent len;
+  M.bump t.ledger s_bytes_sent len;
   let fl = bytes_in_flight t in
   if fl > t.peak_in_flight then t.peak_in_flight <- fl;
   M.set m_inflight (Queue.length t.txq);
@@ -1512,7 +1448,7 @@ let[@warning "-16"] send_stream t ?(seg_unit = 1) ~len ~fill =
   if len <= 0 || len mod seg_unit <> 0 then
     invalid_arg "Socket.send_stream: len must be a positive multiple of seg_unit";
   if t.st <> Established then Error Not_established
-  else if Queue.length t.streams >= t.cfg.max_pending_streams then
+  else if Queue.length t.streams >= max_pending_streams then
     Error Buffer_full
   else begin
     Queue.add { ps_len = len; ps_unit = seg_unit; ps_fill = fill; ps_off = 0 }
@@ -1676,12 +1612,11 @@ let process_data t (h : Tcp_header.t) ~base ~payload_len =
                 Ok ()
               else Error Bad_checksum)
   in
-  Machine.compute (machine t) t.cfg.control_ops;
+  Machine.compute (machine t) control_ops;
   match verdict with
   | Ok () ->
       t.rcv_nxt <- t.rcv_nxt + payload_len;
-      t.bytes_delivered <- t.bytes_delivered + payload_len;
-      M.inc m_bytes_delivered payload_len;
+      M.bump t.ledger s_bytes_delivered payload_len;
       (match fr with
       | Some (p, elen) ->
           t.fr_base <- h.seq;
@@ -1699,7 +1634,7 @@ let process_data t (h : Tcp_header.t) ~base ~payload_len =
                charged unmarshal-style copy the engine paths perform
                inside their handlers). *)
             Mem.blit (mem t) ~src ~dst:(t.rx_asm + dst_off) ~len:payload_len
-              ~unit_len:t.cfg.blit_unit
+              ~unit_len:blit_unit
         | Rx_separate _ | Rx_integrated _ -> ());
         t.rx_tsdu_off <- dst_off + eng_len;
         if psh then begin
@@ -1714,8 +1649,7 @@ let process_data t (h : Tcp_header.t) ~base ~payload_len =
       true
   | Error reason ->
       if reason = Bad_checksum then begin
-        t.checksum_failures <- t.checksum_failures + 1;
-        M.inc m_checksum_failures 1
+        M.bump t.ledger s_checksum_failures 1
       end;
       count_drop t reason;
       false
@@ -1756,17 +1690,15 @@ let place_ooo t (h : Tcp_header.t) ~payload_len =
             then Ok ()
             else Error Bad_checksum)
   in
-  Machine.compute (machine t) t.cfg.control_ops;
+  Machine.compute (machine t) control_ops;
   match verdict with
   | Ok () ->
       Hashtbl.add t.placed h.seq (payload_len, Tcp_header.has h Tcp_header.psh);
       t.last_ooo_seq <- h.seq;
-      t.ooo_placed_n <- t.ooo_placed_n + 1;
-      M.inc m_ooo_placed 1
+      M.bump t.ledger s_ooo_placed 1
   | Error reason ->
       if reason = Bad_checksum then begin
-        t.checksum_failures <- t.checksum_failures + 1;
-        M.inc m_checksum_failures 1
+        M.bump t.ledger s_checksum_failures 1
       end;
       count_drop t reason
 
@@ -1778,8 +1710,7 @@ let rec drain_ooo t =
          legacy stash drain performs has no counterpart here. *)
       Hashtbl.remove t.placed t.rcv_nxt;
       t.rcv_nxt <- t.rcv_nxt + len;
-      t.bytes_delivered <- t.bytes_delivered + len;
-      M.inc m_bytes_delivered len;
+      M.bump t.ledger s_bytes_delivered len;
       t.rx_tsdu_off <- t.rx_tsdu_off + len;
       if psh then begin
         let n = t.rx_tsdu_off in
@@ -1810,8 +1741,7 @@ let handle_data t (h : Tcp_header.t) ~payload_len =
        back as a D-SACK first block (RFC 2883) so the sender can tell a
        spurious retransmission from a lost ack; the 1-byte persist probes
        deliberately resend an acknowledged byte and are not reported. *)
-    t.duplicates <- t.duplicates + 1;
-    M.inc m_duplicates 1;
+    M.bump t.ledger s_duplicates 1;
     if t.cfg.sack && payload_len > 1 then
       t.dsack_pending <- Some (h.seq, h.seq + payload_len);
     send_ack t
@@ -1820,8 +1750,7 @@ let handle_data t (h : Tcp_header.t) ~payload_len =
     (* Out of order: place at the final TSDU offset when the framing
        makes that decidable, otherwise stash the staged segment for
        later processing. *)
-    t.out_of_order_n <- t.out_of_order_n + 1;
-    M.inc m_out_of_order 1;
+    M.bump t.ledger s_out_of_order 1;
     (if Hashtbl.mem t.ooo h.seq || Hashtbl.mem t.placed h.seq then begin
        (* Duplicate of an already-held segment: also a D-SACK case. *)
        if t.cfg.sack && payload_len > 1 then
@@ -1846,7 +1775,7 @@ let handle_data t (h : Tcp_header.t) ~payload_len =
        | Some slot ->
            let base = t.ooo_base + (slot * seg_max t) in
            Mem.blit (mem t) ~src:t.rx_staging ~dst:base
-             ~len:(Tcp_header.size + payload_len) ~unit_len:t.cfg.blit_unit;
+             ~len:(Tcp_header.size + payload_len) ~unit_len:blit_unit;
            t.ooo_free.(slot) <- false;
            Hashtbl.add t.ooo h.seq (slot, base, payload_len);
            t.last_ooo_seq <- h.seq);
@@ -1898,16 +1827,15 @@ let handle_ack t (h : Tcp_header.t) ~payload_len =
       let n = Queue.length t.txq in
       if
         t.cfg.sack && n > 0
-        && n < 1 + t.cfg.dupack_threshold
+        && n < 1 + dupack_threshold
         && sacked_segments t = n - 1
       then max 1 (n - 1)
-      else t.cfg.dupack_threshold
+      else dupack_threshold
     in
     if t.dupacks = dup_thresh && not t.in_recovery then begin
       match first_unsacked t with
       | Some seg ->
-          t.fast_retransmits <- t.fast_retransmits + 1;
-          M.inc m_fast_retransmits 1;
+          M.bump t.ledger s_fast_retransmits 1;
           Recorder.note Recorder.Fast_retransmit ~conn:t.local_port
             ~arg:seg.seq ~ts:(Machine.micros (machine t));
           t.in_recovery <- true;
@@ -1916,7 +1844,7 @@ let handle_ack t (h : Tcp_header.t) ~payload_len =
           if t.cfg.congestion_control then begin
             (* Window inflation: the threshold duplicate acks witness
                segments that left the network (RFC 5681 step 3.2). *)
-            t.cwnd <- t.cwnd + (t.cfg.dupack_threshold * t.cfg.mss);
+            t.cwnd <- t.cwnd + (dupack_threshold * t.cfg.mss);
             set_cc_gauges t
           end;
           seg.sack_rexmit <- true;
@@ -2016,7 +1944,7 @@ let enter_time_wait t =
   transition t Time_wait;
   Option.iter Simclock.cancel t.tw_timer;
   let timer =
-    Simclock.schedule t.clock ~owner:t.owner ~after:(2.0 *. t.cfg.rto_max_us)
+    Simclock.schedule t.clock ~owner:t.owner ~after:(2.0 *. rto_max_us)
       (fun () ->
         t.tw_timer <- None;
         if t.st = Time_wait then transition t Closed)
@@ -2026,31 +1954,28 @@ let enter_time_wait t =
 let handle_datagram t (dgram : Datagram.t) =
   match Ipv4.decapsulate dgram.Datagram.payload with
   | Error _ ->
-      t.ip_errors <- t.ip_errors + 1;
-      M.inc m_ip_errors 1;
+      M.bump t.ledger s_ip_errors 1;
       count_drop t Bad_ip
   | Ok (ip, _) when ip.Ipv4.protocol <> Ipv4.protocol_tcp ->
-      t.ip_errors <- t.ip_errors + 1;
-      M.inc m_ip_errors 1;
+      M.bump t.ledger s_ip_errors 1;
       count_drop t Bad_ip
   | Ok (_, wire) ->
   let total = String.length wire in
   if total < Tcp_header.size then count_drop t Bad_header
   else if total > seg_max t then count_drop t Bad_length
   else begin
-    t.segments_received <- t.segments_received + 1;
-    M.inc m_segments_received 1;
+    M.bump t.ledger s_segments_received 1;
     Machine.exec (machine t) t.code_kernel;
     Machine.exec (machine t) t.code_ctrl;
     (* Kernel demultiplexing and tcp_input connection lookup. *)
-    Machine.compute (machine t) t.cfg.ack_ops;
+    Machine.compute (machine t) ack_ops;
     (* Network adapter DMA into the kernel buffer: not a CPU cost. *)
     Mem.poke_string (mem t) ~pos:t.kernel_rx wire;
     (* read(): system copy kernel -> user staging, then header parse
        (data offset included: an option area is walked and must be the
        one canonical SACK layout). *)
     Mem.blit (mem t) ~src:t.kernel_rx ~dst:t.rx_staging ~len:total
-      ~unit_len:t.cfg.blit_unit;
+      ~unit_len:blit_unit;
     let parsed = Tcp_header.read_mem_v (mem t) ~pos:t.rx_staging ~total in
     let h = parsed.Tcp_header.hdr in
     let hdr_len = parsed.Tcp_header.hdr_len in
@@ -2078,8 +2003,7 @@ let handle_datagram t (dgram : Datagram.t) =
          payload to protect), but the SACK machinery acts on option
          contents — verify before letting a corrupt block reach the
          scoreboard. *)
-      t.checksum_failures <- t.checksum_failures + 1;
-      M.inc m_checksum_failures 1;
+      M.bump t.ledger s_checksum_failures 1;
       count_drop t Bad_checksum
     end
     else begin
@@ -2091,8 +2015,7 @@ let handle_datagram t (dgram : Datagram.t) =
          generates always echo the victim's own ack, so an honest reset
          always matches, while a blind off-window forgery is dropped and
          counted). *)
-      t.rst_rx_n <- t.rst_rx_n + 1;
-      M.inc m_rst_rx 1;
+      M.bump t.ledger s_rst_rx 1;
       Recorder.note Recorder.Rst_rx ~conn:t.local_port ~arg:h.seq
         ~ts:(Machine.micros (machine t));
       if Trace.enabled () then

@@ -44,27 +44,17 @@ type config = {
   send_buffer : int;  (** retransmission ring size in bytes *)
   recv_window : int;  (** advertised window *)
   rto_initial_us : float;
-  rto_min_us : float;
-  rto_max_us : float;
-  max_retries : int;
-  control_ops : int;
-      (** ALU ops charged per data segment for tcp_output/tcp_input state
-          processing *)
-  ack_ops : int;
-      (** ALU ops for the short path: pure control segments and the
-          per-segment kernel demultiplex/lookup *)
-  blit_unit : int;  (** access width of the copy loops, normally 4 *)
+  rto_min_us : float;  (** the RTO ceiling is fixed at 4 s *)
   ack_delay_us : float;
       (** 0 (the default, as in the paper's TCP) acknowledges every data
           segment immediately; > 0 enables RFC 1122-style delayed acks
           with this holding time *)
-  dupack_threshold : int;
-      (** duplicate acks that trigger a fast retransmit (3) *)
   congestion_control : bool;
       (** RFC 5681-style slow start / congestion avoidance / fast
           recovery on the sender (on by default; the paper's loopback
           experiments are never congestion-limited, but a production
-          stack needs it) *)
+          stack needs it).  Fast retransmit on the third duplicate ack
+          runs either way. *)
   sack : bool;
       (** selective acknowledgements (RFC 2018/3517), on by default: the
           receiver reports its out-of-order stash as SACK blocks on pure
@@ -84,15 +74,11 @@ type config = {
           retransmission), so an undersized stash degrades a multi-loss
           flight into serial per-RTT recovery — the failure mode the
           auto default exists to prevent *)
-  persist_initial_us : float;
-      (** first zero-window persist probe interval; doubles per probe *)
-  persist_max_us : float;  (** persist backoff ceiling *)
   stall_deadline_us : float;
       (** a peer window stalled (too small for the pending message) for
-          this long aborts the connection with {!Peer_stalled} *)
-  max_pending_streams : int;
-      (** TSDUs {!send_stream} will queue before reporting
-          [Buffer_full] — the sender-side backpressure bound *)
+          this long aborts the connection with {!Peer_stalled}; until
+          then the persist timer probes it every 5 ms, doubling per probe
+          up to 320 ms *)
   max_tsdu : int;
       (** largest reassembled TSDU the raw receive path accepts (sizes
           the [Rx_raw] reassembly area; clamped up to [mss]).  The
@@ -144,7 +130,7 @@ val drop_reasons : drop_reason list
 val drop_reason_to_string : drop_reason -> string
 
 (** Why the connection was torn down by the stack rather than by a clean
-    close: data, handshake or FIN retransmissions hit [max_retries], the
+    close: data, handshake or FIN retransmissions hit 8 retries, the
     peer's advertised window stayed too small for the pending message
     past [stall_deadline_us] ([Peer_stalled]), the peer acknowledged
     sequence space beyond anything this endpoint ever sent — an
@@ -262,7 +248,7 @@ val send_message :
     must be a positive multiple of [seg_unit] no larger than what a
     segment can describe.  The final segment carries PSH; the receiver
     reassembles in order and delivers the whole TSDU to [on_message].
-    Up to [max_pending_streams] TSDUs queue behind one another
+    Up to 8 TSDUs queue behind one another
     ([Buffer_full] beyond that); [send_message] also reports
     [Buffer_full] while a stream is pending, so single-message and
     streamed traffic never interleave within a connection. *)

@@ -1,4 +1,4 @@
-(* Tests for the Internet checksum, CRC-32 and Fletcher-32. *)
+(* Tests for the Internet checksum and CRC-32. *)
 
 open Ilp_checksum
 module Sim = Ilp_memsim.Sim
@@ -176,35 +176,6 @@ let prop_crc_block_incremental =
       let c2 = Crc32.update_block crc ~crc:c1 b ~off:cut ~len:(n - cut) in
       Crc32.finish c2 = Crc32.string_crc s)
 
-(* ------------------------------------------------------------------ *)
-(* Fletcher-32 *)
-
-let test_fletcher_known_relations () =
-  checkb "nonzero on data" true (Fletcher.string_sum "abcde" <> 0);
-  check "empty" 0 (Fletcher.string_sum "");
-  checkb "order sensitive" true
-    (Fletcher.string_sum "ab" <> Fletcher.string_sum "ba")
-
-let prop_fletcher_incremental =
-  QCheck.Test.make ~count:200 ~name:"fletcher chunked equals whole"
-    QCheck.(pair (string_of_size Gen.(int_range 0 64)) small_nat)
-    (fun (s, k) ->
-      let n = String.length s in
-      let cut = if n = 0 then 0 else k mod (n + 1) in
-      let b = Bytes.of_string s in
-      let s1, s2 = Fletcher.update ~s1:0 ~s2:0 b ~off:0 ~len:cut in
-      let st = Fletcher.update ~s1 ~s2 b ~off:cut ~len:(n - cut) in
-      Fletcher.finish st = Fletcher.string_sum s)
-
-let prop_fletcher_detects_single_flip =
-  QCheck.Test.make ~count:200 ~name:"fletcher detects a single byte change"
-    QCheck.(pair (string_of_size Gen.(int_range 1 40)) small_nat)
-    (fun (s, k) ->
-      let i = k mod String.length s in
-      let b = Bytes.of_string s in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
-      Fletcher.string_sum s <> Fletcher.string_sum (Bytes.to_string b))
-
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "checksum"
@@ -225,8 +196,4 @@ let () =
         [ Alcotest.test_case "standard vector" `Quick test_crc_standard_vector;
           Alcotest.test_case "empty" `Quick test_crc_empty;
           Alcotest.test_case "charged matches pure" `Quick test_crc_charged_matches;
-          qc prop_crc_block_incremental ] );
-      ( "fletcher",
-        [ Alcotest.test_case "relations" `Quick test_fletcher_known_relations;
-          qc prop_fletcher_incremental;
-          qc prop_fletcher_detects_single_flip ] ) ]
+          qc prop_crc_block_incremental ] ) ]

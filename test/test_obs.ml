@@ -2,8 +2,8 @@
    tracer, and — the load-bearing property — that instrumenting the stack
    changed nothing: traced and untraced runs put identical bytes on the
    wire and charge identical simulated cycles, the disabled path
-   allocates nothing, and every bespoke ledger in the stack agrees
-   exactly with its registry mirror after a soak. *)
+   allocates nothing, and every per-object count in the stack sums
+   exactly to its registry counter after a soak. *)
 
 open Ilp_memsim
 module M = Ilp_obs.Metrics
@@ -100,6 +100,39 @@ let test_counter_diff_absent () =
   let s = M.snapshot r in
   check "absent name diffs as 0" 0 (M.counter_diff s s "never-registered");
   check "against empty snapshot" 5 (M.counter_diff s [] "present")
+
+(* Per-object ledgers: one bump counts for the object and for the
+   registry; objects are counted apart, and the bump allocates nothing. *)
+let test_ledger () =
+  let r = M.create () in
+  let fam = M.family r in
+  let s_a = M.slot fam "l.a" in
+  let s_b = M.slot fam "l.b" in
+  let l1 = M.ledger fam in
+  let l2 = M.ledger fam in
+  M.bump l1 s_a 3;
+  M.bump l2 s_a 4;
+  M.bump l2 s_b 1;
+  check "first object's count" 3 (M.count l1 s_a);
+  check "second object's count" 4 (M.count l2 s_a);
+  check "slot untouched by the first object" 0 (M.count l1 s_b);
+  check "registry sums the ledgers" 7 (M.counter_value (M.counter r "l.a"));
+  check "registry sums the other slot" 1 (M.counter_value (M.counter r "l.b"));
+  let n = 10_000 in
+  for _ = 1 to 64 do M.bump l1 s_b 1 done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do M.bump l1 s_b 1 done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  checkb
+    (Printf.sprintf "bump allocates (%.4f words/call)" per_call)
+    true (per_call <= 0.01);
+  ignore (M.gauge r "l.level");
+  (match M.slot (M.family r) "l.level" with
+  | _ -> Alcotest.fail "expected Invalid_argument for a gauge's name"
+  | exception Invalid_argument _ -> ());
+  match M.slot fam "l.late" with
+  | _ -> Alcotest.fail "expected Invalid_argument once a ledger exists"
+  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Trace ring *)
@@ -413,7 +446,7 @@ let test_sampler_conservation_soak () =
   | Error fs -> Alcotest.fail (String.concat "; " fs)
 
 (* ------------------------------------------------------------------ *)
-(* Conservation: bespoke ledgers = registry mirrors *)
+(* Conservation: per-object counts = registry counters *)
 
 let d later earlier name = M.counter_diff later earlier name
 
@@ -473,6 +506,21 @@ let test_conservation_overload_soak () =
     (d after before "tcp.sack_invalid"
     + d after before "tcp.abort.misbehaving_peer")
 
+let test_conservation_crash_soak () =
+  let cfg =
+    { Soak.default_crash_config with Soak.transfers = 16; file_len = 1024 }
+  in
+  let before = M.snapshot M.default in
+  let o = Soak.run_crash cfg in
+  let after = M.snapshot M.default in
+  checkb "crash invariants hold" true (Soak.crash_invariants_hold o);
+  checkb "crashes fired" true (o.Soak.crashes > 0);
+  check "netsim.crashes" o.Soak.crashes (d after before "netsim.crashes");
+  check "netsim.crash_swallowed" o.Soak.swallowed
+    (d after before "netsim.crash_swallowed");
+  check "netsim.crash_resets" o.Soak.resets_while_down
+    (d after before "netsim.crash_resets")
+
 (* ------------------------------------------------------------------ *)
 (* Tracerun: the ilpbench trace driver *)
 
@@ -496,7 +544,8 @@ let () =
             test_histogram_merge_and_diff;
           Alcotest.test_case "golden render" `Quick test_golden_render;
           Alcotest.test_case "counter_diff of absent names" `Quick
-            test_counter_diff_absent ] );
+            test_counter_diff_absent ;
+          Alcotest.test_case "per-object ledgers" `Quick test_ledger ] );
       ( "trace",
         [ Alcotest.test_case "ring wrap-around" `Quick test_ring_wraparound;
           Alcotest.test_case "packet ids" `Quick test_packet_ids ] );
@@ -522,7 +571,9 @@ let () =
         [ Alcotest.test_case "chaos soak ledgers = metrics" `Slow
             test_conservation_chaos_soak;
           Alcotest.test_case "overload ledgers = metrics" `Slow
-            test_conservation_overload_soak ] );
+            test_conservation_overload_soak ;
+          Alcotest.test_case "crash soak ledgers = metrics" `Slow
+            test_conservation_crash_soak ] );
       ( "tracerun",
         [ Alcotest.test_case "quick trace has complete chains" `Slow
             test_tracerun_quick_complete ] ) ]
