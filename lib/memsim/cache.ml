@@ -60,9 +60,12 @@ type outcome = int
 let hit_bit = 1
 let writeback_bit = 2
 let filled_bit = 4
+(* Above the three flags: the index of the way the access touched. *)
+let way_shift = 3
 let hit (o : outcome) = o land hit_bit <> 0
 let writeback (o : outcome) = o land writeback_bit <> 0
 let filled (o : outcome) = o land filled_bit <> 0
+let way (o : outcome) = o lsr way_shift
 
 (* No tuples, options or refs below: [access] runs once per cache line of
    every simulated byte, so its helpers return plain ints ([find_way]
@@ -112,7 +115,7 @@ let access t ~addr ~write =
       | Write_back -> t.dirty.(i) <- true
       | Write_through -> ()
     end;
-    hit_bit
+    (i lsl way_shift) lor hit_bit
   end
   else if write && not t.cfg.write_allocate then
     (* Store-around: the write goes straight to the next level. *)
@@ -124,7 +127,20 @@ let access t ~addr ~write =
     t.valid.(i) <- true;
     t.dirty.(i) <- (write && t.cfg.write_policy = Write_back);
     touch t i;
-    if wb then writeback_bit lor filled_bit else filled_bit
+    (i lsl way_shift) lor (if wb then writeback_bit lor filled_bit else filled_bit)
+  end
+
+(* [n] touches of [first] then [second] in turn leave exactly these ages:
+   the tick advances once per touch and only each way's last touch shows. *)
+let retouch t ~first ~second ~times =
+  if second < 0 then begin
+    t.tick <- t.tick + times;
+    t.age.(first) <- t.tick
+  end
+  else begin
+    t.tick <- t.tick + (2 * times);
+    t.age.(first) <- t.tick - 1;
+    t.age.(second) <- t.tick
   end
 
 let present t ~addr = find_way t (locate_set t addr) (locate_tag t addr) >= 0

@@ -23,15 +23,16 @@ val set_associative : size:int -> line:int -> assoc:int -> config
 
 type t
 
-(** Raises [Invalid_argument] if the geometry is inconsistent (sizes not
-    powers of two, or [size] not divisible by [line * assoc]). *)
+(** Raises [Invalid_argument] if the geometry is inconsistent: [line] not
+    a power of two, [assoc] below 1, or [size] not divisible by
+    [line * assoc].  The set count need not be a power of two. *)
 val create : config -> t
 
 val config : t -> config
 
 (** Access outcome, packed into an immediate so the per-line hot path
-    allocates nothing.  Query it with {!hit}, {!writeback} and
-    {!filled}. *)
+    allocates nothing.  Query it with {!hit}, {!writeback}, {!filled}
+    and {!way}. *)
 type outcome = int
 
 val hit : outcome -> bool
@@ -43,9 +44,22 @@ val writeback : outcome -> bool
     must be read to fill it. *)
 val filled : outcome -> bool
 
+(** The way the access touched, as an index for {!retouch}.  Meaningful
+    only when the access hit or filled; a store-around miss touches no
+    way. *)
+val way : outcome -> int
+
 (** [access t ~addr ~write] touches the single line containing [addr].
     The caller is responsible for splitting accesses that straddle lines. *)
 val access : t -> addr:int -> write:bool -> outcome
+
+(** [retouch t ~first ~second ~times] leaves the LRU state exactly as
+    [times] repetitions of a hit on way [first] followed by a hit on way
+    [second] would ([second] may equal [first]; a negative [second] means
+    the repetitions touch [first] alone).  Both ways must be resident.
+    Dirtiness is not changed: a repeated write hit finds its line already
+    dirty. *)
+val retouch : t -> first:int -> second:int -> times:int -> unit
 
 (** [present t ~addr] reports whether the line holding [addr] is resident,
     without updating LRU state. *)

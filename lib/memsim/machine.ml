@@ -64,6 +64,27 @@ let below_l1 t kind ~size ~addr ~write =
         if (Cache.writeback o) then charge_stall t kind t.mem_cycles
       end
 
+(* One first-level line touch of a [size]-byte access, fully charged;
+   returns the L1 outcome. *)
+let data_line t kind ~size ~write a =
+  let o = Cache.access t.l1d ~addr:a ~write in
+  if Cache.hit o then charge_stall t kind t.l1_hit_cycles
+  else begin
+    Stats.record_miss t.stats kind ~size ~level:1;
+    if write && not (Cache.filled o) then
+      (* Store-around: the drain charge in [data_access] covers it. *)
+      (if not t.l1d_write_through then charge_store_drain t size)
+    else begin
+      below_l1 t kind ~size ~addr:a ~write:false;
+      if Cache.writeback o then below_l1 t Stats.Write ~size ~addr:a ~write:true
+    end
+  end;
+  o
+
+(* Returned by [data_access] for an access that straddles lines: it has no
+   single outcome, so {!copy} never replays from it. *)
+let straddled = -1
+
 let data_access t kind ~addr ~size =
   Stats.record_access t.stats kind ~size;
   let write = kind = Stats.Write in
@@ -78,26 +99,18 @@ let data_access t kind ~addr ~size =
   let line = Cache.line_size t.l1d in
   let first = addr land lnot (line - 1) in
   let last = (addr + size - 1) land lnot (line - 1) in
-  (* A [for] loop, not a [ref] cursor: this runs for every simulated
-     access and a ref cell is a minor-heap allocation per call. *)
-  for j = 0 to (last - first) / line do
-    let a = first + (j * line) in
-    let o = Cache.access t.l1d ~addr:a ~write in
-    if Cache.hit o then charge_stall t kind t.l1_hit_cycles
-    else begin
-      Stats.record_miss t.stats kind ~size ~level:1;
-      if write && not (Cache.filled o) then
-        (* Store-around: the drain charge above covers it. *)
-        (if not t.l1d_write_through then charge_store_drain t size)
-      else begin
-        below_l1 t kind ~size ~addr:a ~write:false;
-        if Cache.writeback o then below_l1 t Stats.Write ~size ~addr:a ~write:true
-      end
-    end
-  done
+  if first = last then data_line t kind ~size ~write first
+  else begin
+    (* A [for] loop, not a [ref] cursor: this runs for every simulated
+       access and a ref cell is a minor-heap allocation per call. *)
+    for j = 0 to (last - first) / line do
+      ignore (data_line t kind ~size ~write (first + (j * line)))
+    done;
+    straddled
+  end
 
-let read t ~addr ~size = data_access t Stats.Read ~addr ~size
-let write t ~addr ~size = data_access t Stats.Write ~addr ~size
+let read t ~addr ~size = ignore (data_access t Stats.Read ~addr ~size)
+let write t ~addr ~size = ignore (data_access t Stats.Write ~addr ~size)
 
 let exec t (region : Code.region) =
   if region.Code.len > 0 then begin
@@ -118,6 +131,71 @@ let exec t (region : Code.region) =
 let compute t ops =
   if ops > 0 then
     t.counters.(0) <- t.counters.(0) +. (float_of_int ops *. t.compute_scale)
+
+(* Units of [size] bytes that still fit in [addr]'s line after the one
+   at [addr]. *)
+let room ~line ~size addr =
+  ((addr land lnot (line - 1)) + line - addr - size) / size
+
+(* [times] more copy pairs, each exactly as the pair just simulated: the
+   read hits way [way r]; the write repeats [w], a hit or a store-around
+   miss.  The ledger and the LRU state take bulk updates; the cycle
+   counters take the per-pair float additions one by one in their
+   original order, since float addition does not reassociate. *)
+let replay t ~size ~r ~w ~times =
+  Stats.add_accesses t.stats Stats.Read ~size times;
+  Stats.add_accesses t.stats Stats.Write ~size times;
+  let w_hit = Cache.hit w in
+  if not w_hit then Stats.add_misses t.stats Stats.Write ~size ~level:1 times;
+  Cache.retouch t.l1d ~first:(Cache.way r)
+    ~second:(if w_hit then Cache.way w else -1) ~times;
+  let wt = t.l1d_write_through in
+  let hit_c = t.l1_hit_cycles in
+  let drain = t.store_buffer_cycles *. float_of_int size /. 4.0 in
+  let ctr = t.counters in
+  for _ = 1 to times do
+    ctr.(0) <- ctr.(0) +. hit_c;
+    ctr.(1) <- ctr.(1) +. hit_c;
+    if wt then begin
+      ctr.(0) <- ctr.(0) +. drain;
+      ctr.(1) <- ctr.(1) +. drain
+    end;
+    if w_hit then begin
+      ctr.(0) <- ctr.(0) +. hit_c;
+      ctr.(1) <- ctr.(1) +. hit_c
+    end
+    else if not wt then begin
+      ctr.(0) <- ctr.(0) +. drain;
+      ctr.(1) <- ctr.(1) +. drain
+    end;
+    ctr.(0) <- ctr.(0) +. t.compute_scale (* [compute t 1] *)
+  done
+
+(* Copy pairs [i, n) of [size]-byte units.  Pair [i] is simulated in
+   full.  If its read and its write each stayed in one line and the write
+   allocated nothing, no line can enter or leave the cache until the copy
+   crosses into another line: every later pair there hits on the read and
+   repeats the write's outcome, so those pairs are replayed. *)
+let rec copy_units t ~src ~dst ~size ~line i n =
+  if i < n then begin
+    let s = src + (i * size) and d = dst + (i * size) in
+    let r = data_access t Stats.Read ~addr:s ~size in
+    let w = data_access t Stats.Write ~addr:d ~size in
+    compute t 1;
+    let times =
+      if r = straddled || w = straddled || Cache.filled w then 0
+      else min (n - i - 1) (min (room ~line ~size s) (room ~line ~size d))
+    in
+    if times > 0 then replay t ~size ~r ~w ~times;
+    copy_units t ~src ~dst ~size ~line (i + 1 + times) n
+  end
+
+let copy t ~src ~dst ~len ~unit_len =
+  let line = Cache.line_size t.l1d in
+  let full = len / unit_len in
+  copy_units t ~src ~dst ~size:unit_len ~line 0 full;
+  let tail = full * unit_len in
+  copy_units t ~src:(src + tail) ~dst:(dst + tail) ~size:1 ~line 0 (len - tail)
 
 let charge_cycles t c = t.counters.(0) <- t.counters.(0) +. c
 

@@ -25,6 +25,16 @@ val read : t -> addr:int -> size:int -> unit
 
 val write : t -> addr:int -> size:int -> unit
 
+(** [copy t ~src ~dst ~len ~unit_len] charges a CPU copy loop: for each
+    [unit_len]-byte unit in turn (1, 2, 4 or 8), one {!read} at [src],
+    one {!write} at [dst] and one {!compute} op; a trailing fragment
+    shorter than [unit_len] goes byte by byte.  The cycles, the ledger
+    and the cache state come out bit for bit as that loop leaves them,
+    but a run of units that stays within one source and one destination
+    line is simulated once and replayed.  Moves no data (see
+    {!Mem.blit}) and allocates nothing. *)
+val copy : t -> src:int -> dst:int -> len:int -> unit_len:int -> unit
+
 (** [exec t region] fetches a code region through the instruction cache.
     Only misses cost cycles; the execution cost itself is charged by the
     caller via {!compute}. *)

@@ -41,20 +41,13 @@ let blit t ~src ~dst ~len ~unit_len =
   (match unit_len with
   | 1 | 2 | 4 | 8 -> ()
   | _ -> invalid_arg "Mem.blit: unit_len");
-  let full = len / unit_len in
-  for i = 0 to full - 1 do
-    let off = i * unit_len in
-    Machine.read t.machine ~addr:(src + off) ~size:unit_len;
-    Machine.write t.machine ~addr:(dst + off) ~size:unit_len;
-    Machine.compute t.machine 1;
-    Bytes.blit t.data (src + off) t.data (dst + off) unit_len
-  done;
-  for off = full * unit_len to len - 1 do
-    Machine.read t.machine ~addr:(src + off) ~size:1;
-    Machine.write t.machine ~addr:(dst + off) ~size:1;
-    Machine.compute t.machine 1;
-    Bytes.set t.data (dst + off) (Bytes.get t.data (src + off))
-  done
+  if len > 0 then begin
+    if src < 0 || dst < 0 || src + len > size t || dst + len > size t then
+      invalid_arg "Mem.blit: range";
+    if dst > src && dst < src + len then invalid_arg "Mem.blit: dst overlaps src";
+    Machine.copy t.machine ~src ~dst ~len ~unit_len;
+    Bytes.blit t.data src t.data dst len
+  end
 
 let peek_u8 t addr = Char.code (Bytes.get t.data addr)
 let poke_u8 t addr v = Bytes.set t.data addr (Char.chr (v land 0xff))

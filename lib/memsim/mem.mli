@@ -26,11 +26,16 @@ val set_u32 : t -> int -> int -> unit
 val get_u64 : t -> int -> int64
 val set_u64 : t -> int -> int64 -> unit
 
-(** [blit t ~src ~dst ~len ~unit_len] copies [len] bytes as a CPU copy
-    loop working in [unit_len]-byte accesses (1, 2, 4 or 8): each unit is
-    one charged read plus one charged write plus one ALU op.  A trailing
-    fragment shorter than [unit_len] is copied byte-wise.  Overlapping
-    ranges copy correctly in the forward direction. *)
+(** [blit t ~src ~dst ~len ~unit_len] copies [len] bytes as a forward
+    CPU copy loop working in [unit_len]-byte accesses (1, 2, 4 or 8): each
+    unit is one charged read plus one charged write plus one ALU op (see
+    {!Machine.copy}).  A trailing fragment shorter than [unit_len] is
+    copied byte-wise.  Ranges may overlap with [dst <= src]; the copy is
+    then the forward copy's result, the bytes of [src] as they were.
+    Raises [Invalid_argument] if [unit_len] is not 1, 2, 4 or 8, if either
+    range leaves the address space, or if [dst] lies inside
+    \[src + 1, src + len), where a forward copy would replicate bytes.
+    A [len] of zero or less copies nothing. *)
 val blit : t -> src:int -> dst:int -> len:int -> unit_len:int -> unit
 
 (** {1 Uncharged accessors (everyone else)} *)

@@ -26,14 +26,17 @@ let create () =
   { acc = Array.make (n_kinds * n_sizes) 0;
     mis = Array.make (n_kinds * n_sizes * n_levels) 0 }
 
-let record_access t k ~size =
+let add_accesses t k ~size n =
   let i = (kind_index k * n_sizes) + size_class size in
-  t.acc.(i) <- t.acc.(i) + 1
+  t.acc.(i) <- t.acc.(i) + n
 
-let record_miss t k ~size ~level =
+let add_misses t k ~size ~level n =
   if level < 1 || level > n_levels then invalid_arg "Stats.record_miss: level";
   let i = (((kind_index k * n_sizes) + size_class size) * n_levels) + (level - 1) in
-  t.mis.(i) <- t.mis.(i) + 1
+  t.mis.(i) <- t.mis.(i) + n
+
+let record_access t k ~size = add_accesses t k ~size 1
+let record_miss t k ~size ~level = add_misses t k ~size ~level 1
 
 let accesses_of_size t k ~size = t.acc.((kind_index k * n_sizes) + size_class size)
 

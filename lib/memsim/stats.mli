@@ -24,6 +24,13 @@ val record_access : t -> kind -> size:int -> unit
     [size] bytes. *)
 val record_miss : t -> kind -> size:int -> level:int -> unit
 
+(** [add_accesses t kind ~size n] / [add_misses t kind ~size ~level n]
+    count [n] accesses / misses at once, exactly as [n] calls of
+    {!record_access} / {!record_miss} would. *)
+val add_accesses : t -> kind -> size:int -> int -> unit
+
+val add_misses : t -> kind -> size:int -> level:int -> int -> unit
+
 (** [accesses t kind] is the total number of accesses of that kind;
     [accesses_of_size t kind ~size] restricts to one access size. *)
 val accesses : t -> kind -> int

@@ -335,14 +335,214 @@ let test_mem_blit () =
   check "writes" 4 (Stats.accesses (Machine.stats sim.Sim.machine) Stats.Write)
 
 let test_mem_blit_overlap_forward () =
+  List.iter
+    (fun unit_len ->
+      let sim = Sim.create (Config.custom ()) in
+      let mem = sim.Sim.mem in
+      Mem.poke_string mem ~pos:600 "abcdefgh";
+      (* [602, 608) onto [600, 606): the ranges share [602, 606), and a
+         forward copy with dst < src reads each byte before overwriting it. *)
+      Mem.blit mem ~src:602 ~dst:600 ~len:6 ~unit_len;
+      Alcotest.(check string)
+        (Printf.sprintf "shifted down, unit %d" unit_len)
+        "cdefghgh"
+        (Bytes.to_string (Mem.peek_bytes mem ~pos:600 ~len:8)))
+    [ 1; 4 ]
+
+let test_mem_blit_overlap_backward_refused () =
   let sim = Sim.create (Config.custom ()) in
   let mem = sim.Sim.mem in
   Mem.poke_string mem ~pos:600 "abcdefgh";
-  (* Non-overlapping ranges copy exactly; overlapping d<s forward is fine. *)
-  Mem.blit mem ~src:604 ~dst:600 ~len:4 ~unit_len:1;
+  Alcotest.check_raises "dst inside (src, src + len)"
+    (Invalid_argument "Mem.blit: dst overlaps src") (fun () ->
+      Mem.blit mem ~src:600 ~dst:602 ~len:6 ~unit_len:1);
   Alcotest.(check string)
-    "shifted" "efgh"
-    (Bytes.to_string (Mem.peek_bytes mem ~pos:600 ~len:4))
+    "nothing copied" "abcdefgh"
+    (Bytes.to_string (Mem.peek_bytes mem ~pos:600 ~len:8));
+  checkf "nothing charged" 0.0 (Machine.cycles sim.Sim.machine);
+  (* Adjacent and identical ranges are not refused. *)
+  Mem.blit mem ~src:600 ~dst:604 ~len:4 ~unit_len:4;
+  Mem.blit mem ~src:600 ~dst:600 ~len:8 ~unit_len:2;
+  Alcotest.(check string)
+    "adjacent copy" "abcdabcd"
+    (Bytes.to_string (Mem.peek_bytes mem ~pos:600 ~len:8))
+
+let test_mem_blit_zero_alloc () =
+  let sim = Sim.create Config.ss10_30 in
+  let mem = sim.Sim.mem in
+  let n = 2_000 in
+  for _ = 1 to 16 do
+    Mem.blit mem ~src:8194 ~dst:16384 ~len:1467 ~unit_len:4
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Mem.blit mem ~src:8194 ~dst:16384 ~len:1467 ~unit_len:4
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  checkb
+    (Printf.sprintf "blit allocates (%.4f words/call)" per_call)
+    true (per_call <= 0.01)
+
+(* [Mem.blit] charges by line stretch; it must match, bit for bit, the
+   per-unit copy loop kept here as the oracle. *)
+
+let oracle_blit sim ~src ~dst ~len ~unit_len =
+  let m = sim.Sim.machine and data = Mem.raw sim.Sim.mem in
+  let unit_copy off size =
+    Machine.read m ~addr:(src + off) ~size;
+    Machine.write m ~addr:(dst + off) ~size;
+    Machine.compute m 1;
+    Bytes.blit data (src + off) data (dst + off) size
+  in
+  let full = len / unit_len in
+  for i = 0 to full - 1 do
+    unit_copy (i * unit_len) unit_len
+  done;
+  for off = full * unit_len to len - 1 do
+    unit_copy off 1
+  done
+
+let oracle_machines =
+  let small_dm = Cache.direct_mapped ~size:256 ~line:16 in
+  Array.of_list
+    (Config.all
+    @ [ Config.custom ();
+        Config.custom ~name:"custom-wb-dm-l2" ~l1d:small_dm
+          ~l2:(Some (Cache.direct_mapped ~size:1024 ~line:32))
+          ~compute_scale:2.4 ();
+        Config.custom ~name:"custom-wb-store-around"
+          ~l1d:{ (Cache.set_associative ~size:256 ~line:16 ~assoc:2) with
+                 write_allocate = false }
+          () ])
+
+(* Address offsets that map to the same set in some cache of the
+   machines above: the tiny L1s, the 4-way and direct-mapped L1Ds, and
+   the Alpha and SPARC L2s. *)
+let alias_strides = [| 0; 128; 4096; 8192; 524288; 1048576 |]
+let oracle_span = 2 * 1024 * 1024
+let oracle_mem_size = oracle_span + 65536
+
+type oracle_op =
+  | Copy of { src : int; dst : int; len : int; unit_len : int }
+  | Load of int * int
+  | Store of int * int
+
+let print_op = function
+  | Copy { src; dst; len; unit_len } ->
+      Printf.sprintf "copy %d->%d len %d unit %d" src dst len unit_len
+  | Load (a, s) -> Printf.sprintf "load %d/%d" a s
+  | Store (a, s) -> Printf.sprintf "store %d/%d" a s
+
+let gen_oracle_case =
+  let open QCheck.Gen in
+  let near =
+    map3
+      (fun base stride k -> (base + (stride * k)) mod oracle_span)
+      (int_bound 16383) (oneofa alias_strides) (int_range 0 2)
+  in
+  let unit = oneofl [ 1; 2; 4; 8 ] in
+  let copy =
+    near >>= fun src ->
+    oneofa alias_strides >>= fun stride ->
+    int_range 0 2 >>= fun k ->
+    int_range (-40) 40 >>= fun delta ->
+    frequency [ (4, int_bound 300); (1, int_bound 3000) ] >>= fun len ->
+    unit >|= fun unit_len ->
+    let dst = max 0 ((src + (stride * k) + delta) mod oracle_span) in
+    (* Mem.blit refuses dst inside (src, src + len): swap such pairs. *)
+    let src, dst = if dst > src && dst < src + len then (dst, src) else (src, dst) in
+    Copy { src; dst; len; unit_len }
+  in
+  let single f = map2 f near unit in
+  pair
+    (int_bound (Array.length oracle_machines - 1))
+    (list_size (int_range 1 10)
+       (frequency
+          [ (3, copy);
+            (1, single (fun a s -> Load (a, s)));
+            (1, single (fun a s -> Store (a, s))) ]))
+
+let arb_oracle_case =
+  QCheck.make gen_oracle_case ~print:(fun (mi, ops) ->
+      Printf.sprintf "%s: %s" oracle_machines.(mi).Config.name
+        (String.concat "; " (List.map print_op ops)))
+
+let ledger m =
+  let st = Machine.stats m in
+  List.concat_map
+    (fun kind ->
+      List.concat_map
+        (fun size ->
+          [ Stats.accesses_of_size st kind ~size;
+            Stats.misses_of_size st kind ~size ~level:1;
+            Stats.misses_of_size st kind ~size ~level:2 ])
+        [ 1; 2; 4; 8 ])
+    [ Stats.Read; Stats.Write; Stats.Ifetch ]
+
+let clocks m =
+  List.map Int64.bits_of_float
+    [ Machine.cycles m; Machine.stall_cycles m; Machine.ifetch_stall_cycles m ]
+
+let same_state what a b =
+  let ma = a.Sim.machine and mb = b.Sim.machine in
+  if clocks ma <> clocks mb then
+    QCheck.Test.fail_reportf "%s: cycles %h/%h/%h vs oracle %h/%h/%h" what
+      (Machine.cycles mb) (Machine.stall_cycles mb) (Machine.ifetch_stall_cycles mb)
+      (Machine.cycles ma) (Machine.stall_cycles ma) (Machine.ifetch_stall_cycles ma);
+  if ledger ma <> ledger mb then QCheck.Test.fail_reportf "%s: Stats ledger differs" what;
+  if not (Bytes.equal (Mem.raw a.Sim.mem) (Mem.raw b.Sim.mem)) then
+    QCheck.Test.fail_reportf "%s: memory bytes differ" what
+
+(* Reads that push other tags through the sets a copy touched, then read
+   the copy's lines again: which lines survive depends on the LRU ages
+   and on dirtiness (writebacks are charged). *)
+let lru_probe sim ops =
+  let m = sim.Sim.machine in
+  List.iter
+    (function
+      | Copy { src; dst; len; _ } ->
+          List.iter
+            (fun a ->
+              Array.iter
+                (fun stride ->
+                  for k = 1 to 5 do
+                    Machine.read m ~addr:((a + (stride * k)) mod oracle_span) ~size:4
+                  done)
+                alias_strides;
+              Machine.read m ~addr:a ~size:4)
+            [ src; dst; src + (len / 2); dst + (len / 2) ]
+      | Load _ | Store _ -> ())
+    ops
+
+let prop_blit_bit_exact =
+  QCheck.Test.make ~count:150 ~name:"blit charges bit-exactly as the per-unit loop"
+    arb_oracle_case (fun (mi, ops) ->
+      let cfg = oracle_machines.(mi) in
+      let oracle = Sim.create ~mem_size:oracle_mem_size cfg in
+      let subject = Sim.create ~mem_size:oracle_mem_size cfg in
+      let fill =
+        Bytes.init oracle_mem_size (fun i -> Char.chr (((i * 7) + (i lsr 8)) land 0xff))
+      in
+      Mem.poke_bytes oracle.Sim.mem ~pos:0 fill;
+      Mem.poke_bytes subject.Sim.mem ~pos:0 fill;
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Copy { src; dst; len; unit_len } ->
+              oracle_blit oracle ~src ~dst ~len ~unit_len;
+              Mem.blit subject.Sim.mem ~src ~dst ~len ~unit_len
+          | Load (addr, size) ->
+              Machine.read oracle.Sim.machine ~addr ~size;
+              Machine.read subject.Sim.machine ~addr ~size
+          | Store (addr, size) ->
+              Machine.write oracle.Sim.machine ~addr ~size;
+              Machine.write subject.Sim.machine ~addr ~size);
+          same_state (Printf.sprintf "after op %d (%s)" i (print_op op)) oracle subject)
+        ops;
+      lru_probe oracle ops;
+      lru_probe subject ops;
+      same_state "after the LRU probe" oracle subject;
+      true)
 
 let prop_mem_u32_roundtrip =
   QCheck.Test.make ~count:200 ~name:"u32 set/get round trip"
@@ -430,6 +630,10 @@ let () =
           Alcotest.test_case "peek/poke uncharged" `Quick test_mem_peek_poke_uncharged;
           Alcotest.test_case "blit" `Quick test_mem_blit;
           Alcotest.test_case "blit overlap" `Quick test_mem_blit_overlap_forward;
+          Alcotest.test_case "blit refuses dst inside src" `Quick
+            test_mem_blit_overlap_backward_refused;
+          Alcotest.test_case "blit allocates nothing" `Quick test_mem_blit_zero_alloc;
+          qc prop_blit_bit_exact;
           qc prop_mem_u32_roundtrip ] );
       ( "alloc",
         [ Alcotest.test_case "alignment" `Quick test_alloc_alignment;
