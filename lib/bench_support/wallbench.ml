@@ -44,21 +44,36 @@ let cipher_of_name = function
 
 let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
-(* Median ns per message over [trials] samples, [warmup] discarded. *)
-let time_median ~trials ~warmup ~reps f =
-  let sample () =
+(* Median ns per message of the separate and the ILP form of one
+   operation over [trials] samples, [warmup] discarded.  Each trial times
+   both sides back to back, alternating which goes first, so host-speed
+   drift during the run lands on both sides rather than in their ratio. *)
+let time_pair ~trials ~warmup ~reps sep ilp =
+  let sample f =
     let t0 = now_ns () in
     for _ = 1 to reps do
       f ()
     done;
     (now_ns () -. t0) /. float_of_int reps
   in
-  for _ = 1 to warmup do
-    ignore (sample ())
+  let trial i =
+    if i land 1 = 0 then
+      let s = sample sep in
+      (s, sample ilp)
+    else
+      let l = sample ilp in
+      (sample sep, l)
+  in
+  for i = 0 to warmup - 1 do
+    ignore (trial i)
   done;
-  let samples = Array.init trials (fun _ -> sample ()) in
-  Array.sort compare samples;
-  Report.percentile_sorted samples 0.5
+  let samples = Array.init trials (fun i -> trial (warmup + i)) in
+  let median side =
+    let a = Array.map side samples in
+    Array.sort compare a;
+    Report.percentile_sorted a 0.5
+  in
+  (median fst, median snd)
 
 (* Repetitions so one trial runs for at least [budget_ns]: double a probe
    count until the probe takes >= 1/4 of the budget, then scale. *)
@@ -119,7 +134,6 @@ let bench_point wire ~trials ~warmup ~src len =
   in
   let budget_ns = 2e6 in
   let reps = calibrate ~budget_ns send_sep in
-  let t f = time_median ~trials ~warmup ~reps f in
   (* Allocation rate: minor-heap words per message (send + recv), via
      [Gc.minor_words] deltas — the GC-pressure side of the single-copy
      story, alongside the latency medians. *)
@@ -132,16 +146,14 @@ let bench_point wire ~trials ~warmup ~src len =
     done;
     (Gc.minor_words () -. w0) /. float_of_int n
   in
-  let separate =
-    let tx = mw send_sep and rx = mw recv_sep in
-    { send_ns = t send_sep; recv_ns = t recv_sep;
-      minor_words = tx +. rx; minor_words_rx = rx }
+  let side ~send_ns ~recv_ns send recv =
+    let tx = mw send and rx = mw recv in
+    { send_ns; recv_ns; minor_words = tx +. rx; minor_words_rx = rx }
   in
-  let ilp =
-    let tx = mw send_ilp and rx = mw recv_ilp in
-    { send_ns = t send_ilp; recv_ns = t recv_ilp;
-      minor_words = tx +. rx; minor_words_rx = rx }
-  in
+  let sep_send, ilp_send = time_pair ~trials ~warmup ~reps send_sep send_ilp in
+  let sep_recv, ilp_recv = time_pair ~trials ~warmup ~reps recv_sep recv_ilp in
+  let separate = side ~send_ns:sep_send ~recv_ns:sep_recv send_sep recv_sep in
+  let ilp = side ~send_ns:ilp_send ~recv_ns:ilp_recv send_ilp recv_ilp in
   ignore (Sys.opaque_identity !sink);
   let speedup =
     (separate.send_ns +. separate.recv_ns) /. (ilp.send_ns +. ilp.recv_ns)

@@ -4,7 +4,9 @@
 
     Each point is a median-of-[trials] measurement (after [warmup]
     discarded trials) of ns per message, with the per-trial repetition
-    count auto-calibrated so one trial runs for at least ~2 ms.  Before
+    count auto-calibrated so one trial runs for at least ~2 ms.  Each
+    trial times the separate and the ILP path back to back, alternating
+    which goes first, so host-speed drift cannot land in the speedup.  Before
     any timing, both paths are cross-checked to produce byte-identical
     wire data and matching checksums — a benchmark of two kernels that
     disagree would be meaningless.

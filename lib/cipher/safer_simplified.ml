@@ -1,9 +1,33 @@
-type key = { k : int array (* 8 bytes *) }
+(* [k] holds the 8 key bytes the closure cores read.  [enc] and [dec]
+   fold each byte position's key step into its table substitution, so the
+   native batch kernels make one lookup per byte; each is 8 tables of 256
+   bytes indexed [i * 256 + x]:
+   - [enc]: [exp[x xor k_i]] at positions 0,3,4,7 and [log[(x + k_i) mod 256]]
+     at 1,2,5,6 — the key layer, then the substitution;
+   - [dec]: [log[x] xor k_i] at 0,3,4,7 and [(exp[x] - k_i) mod 256] at
+     1,2,5,6 — the inverse substitution, then the inverse key layer. *)
+type key = { k : int array; enc : string; dec : string }
 
-let expand_key user =
+let key_bytes user =
   if String.length user <> 8 then
     invalid_arg "Safer_simplified.expand_key: key must be 8 bytes";
-  { k = Array.init 8 (fun j -> Char.code user.[j]) }
+  Array.init 8 (fun j -> Char.code user.[j])
+
+(* Positions whose key step is xor (and whose substitution is [exp] when
+   encrypting); the others add the key and substitute [log]. *)
+let xor_position i = i = 0 || i = 3 || i = 4 || i = 7
+
+let expand_key user =
+  let k = key_bytes user in
+  let exp = Safer.exp_table and log = Safer.log_table in
+  let table f = String.init 2048 (fun j -> Char.chr (f (j lsr 8) (j land 0xff))) in
+  { k;
+    enc =
+      table (fun i x ->
+          if xor_position i then exp.(x lxor k.(i)) else log.((x + k.(i)) land 0xff));
+    dec =
+      table (fun i x ->
+          if xor_position i then log.(x) lxor k.(i) else (exp.(x) - k.(i)) land 0xff) }
 
 (* One SAFER round reduced to its essence; [kread]/[exp]/[log]/[ops] as in
    {!Safer}.  The mixed patterns follow the full cipher's byte positions. *)
@@ -70,8 +94,8 @@ let decrypt_core ~kread ~exp ~log ~ops ~spill s =
   ops 16
 
 (* Run a core on one block through a caller-supplied scratch array, so a
-   batch (or a long-lived charged instance) loads the scratch once instead
-   of allocating per block. *)
+   long-lived charged instance reuses one scratch instead of allocating
+   per block. *)
 let run_block core s b off =
   for i = 0 to 7 do
     s.(i) <- Char.code (Bytes.get b (off + i))
@@ -92,23 +116,54 @@ let check_batch name b ~off ~count =
   if off < 0 || count < 0 || off + (count * 8) > Bytes.length b then
     invalid_arg (name ^ ": block run out of bounds")
 
-let batch name core b ~off ~count =
-  check_batch name b ~off ~count;
-  let s = Array.make 8 0 in
-  for i = 0 to count - 1 do
-    run_block core s b (off + (i * 8))
+(* Position [i]'s folded lookup of byte [x] in table [t].  The index is
+   below 2048 = [String.length t] because [x] is a byte. *)
+let[@inline] lut t i x = Char.code (String.unsafe_get t ((i lsl 8) lor x))
+
+let[@inline] get b o = Char.code (Bytes.unsafe_get b o)
+let[@inline] set b o v = Bytes.unsafe_set b o (Char.unsafe_chr v)
+
+(* The native kernels: per block 8 loads, 8 folded lookups, the four PHT
+   butterflies and 8 stores (decryption runs the inverse butterflies
+   first).  No closure, scratch array or allocation; after [check_batch]
+   every access is in bounds. *)
+let encrypt_blocks key b ~off ~count =
+  check_batch "Safer_simplified.encrypt_blocks" b ~off ~count;
+  let t = key.enc in
+  for blk = 0 to count - 1 do
+    let o = off + (blk lsl 3) in
+    let y0 = lut t 0 (get b o) and y1 = lut t 1 (get b (o + 1)) in
+    let y2 = lut t 2 (get b (o + 2)) and y3 = lut t 3 (get b (o + 3)) in
+    let y4 = lut t 4 (get b (o + 4)) and y5 = lut t 5 (get b (o + 5)) in
+    let y6 = lut t 6 (get b (o + 6)) and y7 = lut t 7 (get b (o + 7)) in
+    set b o (((2 * y0) + y1) land 0xff);
+    set b (o + 1) ((y0 + y1) land 0xff);
+    set b (o + 2) (((2 * y2) + y3) land 0xff);
+    set b (o + 3) ((y2 + y3) land 0xff);
+    set b (o + 4) (((2 * y4) + y5) land 0xff);
+    set b (o + 5) ((y4 + y5) land 0xff);
+    set b (o + 6) (((2 * y6) + y7) land 0xff);
+    set b (o + 7) ((y6 + y7) land 0xff)
   done
 
-let encrypt_blocks key b ~off ~count =
-  batch "Safer_simplified.encrypt_blocks"
-    (encrypt_core ~kread:(Array.get key.k) ~exp:pure_exp ~log:pure_log ~ops:no_ops)
-    b ~off ~count
-
 let decrypt_blocks key b ~off ~count =
-  batch "Safer_simplified.decrypt_blocks"
-    (decrypt_core ~kread:(Array.get key.k) ~exp:pure_exp ~log:pure_log ~ops:no_ops
-       ~spill:no_spill)
-    b ~off ~count
+  check_batch "Safer_simplified.decrypt_blocks" b ~off ~count;
+  let t = key.dec in
+  for blk = 0 to count - 1 do
+    let o = off + (blk lsl 3) in
+    let x0 = get b o and x1 = get b (o + 1) in
+    let x2 = get b (o + 2) and x3 = get b (o + 3) in
+    let x4 = get b (o + 4) and x5 = get b (o + 5) in
+    let x6 = get b (o + 6) and x7 = get b (o + 7) in
+    set b o (lut t 0 ((x0 - x1) land 0xff));
+    set b (o + 1) (lut t 1 (((2 * x1) - x0) land 0xff));
+    set b (o + 2) (lut t 2 ((x2 - x3) land 0xff));
+    set b (o + 3) (lut t 3 (((2 * x3) - x2) land 0xff));
+    set b (o + 4) (lut t 4 ((x4 - x5) land 0xff));
+    set b (o + 5) (lut t 5 (((2 * x5) - x4) land 0xff));
+    set b (o + 6) (lut t 6 ((x6 - x7) land 0xff));
+    set b (o + 7) (lut t 7 (((2 * x7) - x6) land 0xff))
+  done
 
 let encrypt_block key b off =
   with_block (encrypt_core ~kread:(Array.get key.k) ~exp:pure_exp ~log:pure_log ~ops:no_ops) b off
@@ -134,15 +189,19 @@ let encrypt_string key s = map_string encrypt_block key s
 let decrypt_string key s = map_string decrypt_block key s
 
 let charged (sim : Ilp_memsim.Sim.t) ?(spill_bytes = 4) ~key () =
+  (* The spill hook moves register bytes [s.(0..spill_bytes-1)]: refuse a
+     count beyond the 8-byte block before anything is allocated. *)
+  if spill_bytes < 0 || spill_bytes > 8 then
+    invalid_arg "Safer_simplified.charged: spill_bytes must be in 0..8";
   let open Ilp_memsim in
-  let k = expand_key key in
+  let k = key_bytes key in
   let exp_base = Alloc.alloc sim.alloc ~align:64 256 in
   let log_base = Alloc.alloc sim.alloc ~align:64 256 in
   let key_base = Alloc.alloc sim.alloc ~align:8 8 in
   let scratch = Alloc.alloc sim.alloc ~align:8 (max 1 spill_bytes) in
   Array.iteri (fun i v -> Mem.poke_u8 sim.mem (exp_base + i) v) Safer.exp_table;
   Array.iteri (fun i v -> Mem.poke_u8 sim.mem (log_base + i) v) Safer.log_table;
-  Array.iteri (fun i v -> Mem.poke_u8 sim.mem (key_base + i) v) k.k;
+  Array.iteri (fun i v -> Mem.poke_u8 sim.mem (key_base + i) v) k;
   let kread i = Mem.get_u8 sim.mem (key_base + i) in
   let exp x = Mem.get_u8 sim.mem (exp_base + x) in
   let log x = Mem.get_u8 sim.mem (log_base + x) in

@@ -16,10 +16,15 @@
 
 type key
 
-(** [expand_key k] takes the 8-byte user key. *)
+(** [expand_key k] takes the 8-byte user key.  Besides the key bytes it
+    builds two 2 KiB tables that fold each byte position's key step into
+    its table substitution, one per direction, for the batch kernels. *)
 val expand_key : string -> key
 
-(** Pure in-place transforms on 8 bytes at the given offset. *)
+(** Pure in-place transforms on 8 bytes at the given offset.  They run the
+    same core as the charged cipher, which reads the key bytes and the two
+    tables separately, so they are the reference the batch kernels are
+    tested against. *)
 val encrypt_block : key -> Bytes.t -> int -> unit
 
 val decrypt_block : key -> Bytes.t -> int -> unit
@@ -28,8 +33,9 @@ val encrypt_string : key -> string -> string
 val decrypt_string : key -> string -> string
 
 (** [encrypt_blocks key b ~off ~count] transforms [count] consecutive
-    8-byte blocks in place, reusing one scratch block across the whole run
-    (no per-block closure dispatch or allocation). *)
+    8-byte blocks in place with one folded-table lookup per byte and the
+    PHT butterflies, straight-line and allocation-free.  Raises
+    [Invalid_argument] if the run is out of bounds. *)
 val encrypt_blocks : key -> Bytes.t -> off:int -> count:int -> unit
 
 val decrypt_blocks : key -> Bytes.t -> off:int -> count:int -> unit
@@ -37,6 +43,7 @@ val decrypt_blocks : key -> Bytes.t -> off:int -> count:int -> unit
 (** [charged sim ~key ()] allocates the key vector, the two tables and the
     decryption scratch area in simulated memory and returns the charged
     cipher.  [spill_bytes] (default 4) is how many intermediate bytes the
-    decryption kernel spills per block. *)
+    decryption kernel spills per block.  Raises [Invalid_argument] unless
+    [0 <= spill_bytes <= 8], before allocating anything. *)
 val charged :
   Ilp_memsim.Sim.t -> ?spill_bytes:int -> key:string -> unit -> Block_cipher.t

@@ -169,6 +169,80 @@ let test_simplified_charged_traffic () =
   let reads = Stats.accesses_of_size (Machine.stats sim.Sim.machine) Stats.Read ~size:1 in
   check "16 one-byte reads per block (8 key + 8 table)" 16 reads
 
+let test_simplified_spill_bounds () =
+  let sim = Sim.create (Config.custom ()) in
+  let key = "\x11\x22\x33\x44\x55\x66\x77\x88" in
+  List.iter
+    (fun spill_bytes ->
+      Alcotest.check_raises
+        (Printf.sprintf "spill_bytes %d" spill_bytes)
+        (Invalid_argument "Safer_simplified.charged: spill_bytes must be in 0..8")
+        (fun () -> ignore (Safer_simplified.charged sim ~spill_bytes ~key ())))
+    [ -1; 9; 64 ];
+  List.iter
+    (fun spill_bytes ->
+      let c = Safer_simplified.charged sim ~spill_bytes ~key () in
+      checkb
+        (Printf.sprintf "roundtrip with spill_bytes %d" spill_bytes)
+        true (Block_cipher.roundtrip_ok c))
+    [ 0; 8 ]
+
+(* Output bytes 2j and 2j+1 depend only on input bytes 2j and 2j+1 (key
+   layer and table per byte, then one PHT per pair), so enumerating all
+   65,536 values of each pair covers every input the batch kernels can
+   see.  The other six bytes of each block carry a filler that varies per
+   block, so a kernel that mixed pairs would also show.  The oracle is the
+   closure core behind [encrypt_block]/[decrypt_block]. *)
+let exhaustive_pairs name user_key =
+  let key = Safer_simplified.expand_key user_key in
+  let n = 65536 in
+  let first_diff a b =
+    let rec go blk =
+      if Bytes.sub a (blk * 8) 8 <> Bytes.sub b (blk * 8) 8 then blk else go (blk + 1)
+    in
+    go 0
+  in
+  let agree what kernel oracle input =
+    let native = Bytes.copy input and expected = Bytes.copy input in
+    kernel key native ~off:0 ~count:n;
+    for blk = 0 to n - 1 do
+      oracle key expected (blk * 8)
+    done;
+    if not (Bytes.equal native expected) then begin
+      let blk = first_diff native expected in
+      Alcotest.failf "%s %s: block %s -> native %s, core %s" name what
+        (to_hex (Bytes.sub_string input (blk * 8) 8))
+        (to_hex (Bytes.sub_string native (blk * 8) 8))
+        (to_hex (Bytes.sub_string expected (blk * 8) 8))
+    end
+  in
+  for j = 0 to 3 do
+    let input =
+      Bytes.init (n * 8) (fun p ->
+          let blk = p lsr 3 and i = p land 7 in
+          if i = 2 * j then Char.chr (blk lsr 8)
+          else if i = (2 * j) + 1 then Char.chr (blk land 0xff)
+          else Char.chr (((blk * 167) + (i * 59)) land 0xff))
+    in
+    agree (Printf.sprintf "encrypt pair %d" j) Safer_simplified.encrypt_blocks
+      Safer_simplified.encrypt_block input;
+    agree (Printf.sprintf "decrypt pair %d" j) Safer_simplified.decrypt_blocks
+      Safer_simplified.decrypt_block input
+  done
+
+let test_simplified_native_exhaustive () =
+  let rng = Random.State.make [| 14; 0x5afe |] in
+  let random_key () = String.init 8 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let keys =
+    [ ("key 00..", String.make 8 '\x00');
+      ("key ff..", String.make 8 '\xff');
+      ("key 80..", String.make 8 '\x80') ]
+    @ List.init 5 (fun i ->
+          let k = random_key () in
+          (Printf.sprintf "random key %d (%s)" i (to_hex k), k))
+  in
+  List.iter (fun (name, k) -> exhaustive_pairs name k) keys
+
 (* ------------------------------------------------------------------ *)
 (* Simple cipher *)
 
@@ -306,6 +380,10 @@ let () =
           Alcotest.test_case "actually encrypts" `Quick test_simplified_actually_encrypts;
           Alcotest.test_case "per-byte memory traffic" `Quick
             test_simplified_charged_traffic;
+          Alcotest.test_case "spill_bytes outside 0..8 refused" `Quick
+            test_simplified_spill_bounds;
+          Alcotest.test_case "native = core on every byte pair" `Quick
+            test_simplified_native_exhaustive;
           qc prop_simplified_roundtrip ] );
       ( "simple",
         [ Alcotest.test_case "no table traffic" `Quick test_simple_no_table_traffic;

@@ -13,11 +13,13 @@ let check_s = Alcotest.(check string)
 
 let key = "\x3a\x91\x5c\x07\xee\x42\xb8\x1d"
 
-let ciphers () =
+let ciphers_with k =
   [ FP.Cipher.Simple;
-    FP.Cipher.Safer_simplified (Safer_simplified.expand_key key);
-    FP.Cipher.Safer (Safer.expand_key key);
-    FP.Cipher.Des (Des.expand_key key) ]
+    FP.Cipher.Safer_simplified (Safer_simplified.expand_key k);
+    FP.Cipher.Safer (Safer.expand_key k);
+    FP.Cipher.Des (Des.expand_key k) ]
+
+let ciphers () = ciphers_with key
 
 (* Reference ECB through the pure string ciphers. *)
 let reference_encrypt cipher s =
@@ -56,19 +58,45 @@ let test_blit_bounds () =
 (* ------------------------------------------------------------------ *)
 (* Cipher kernels *)
 
+let reference_decrypt cipher s =
+  match cipher with
+  | FP.Cipher.Simple -> Simple_cipher.decrypt_string s
+  | FP.Cipher.Safer_simplified k -> Safer_simplified.decrypt_string k s
+  | FP.Cipher.Safer k -> Safer.decrypt_string k s
+  | FP.Cipher.Des k -> Des.decrypt_string k s
+
+(* Random key, random plaintext and random "ciphertext" (decrypt must
+   match the reference on any input, not only on what encrypt produced),
+   each run placed at a random offset between guard bytes that must come
+   back untouched. *)
 let prop_native_matches_reference =
-  QCheck.Test.make ~count:100 ~name:"native kernels = pure ECB (all ciphers)"
-    QCheck.(map (fun n -> n * 8) (int_range 0 64))
-    (fun len ->
-      let s = random_msg len in
+  let blocks = QCheck.Gen.(map (fun n -> n * 8) (int_range 0 64)) in
+  let gen =
+    QCheck.Gen.(
+      quad (string_size (return 8))
+        (blocks >>= fun len -> string_size (return len))
+        (blocks >>= fun len -> string_size (return len))
+        (int_range 0 23))
+  in
+  QCheck.Test.make ~count:100
+    ~name:"native kernels = pure ECB (all ciphers)"
+    (QCheck.make gen) (fun (k, plain, junk, off) ->
+      let guard = 8 in
+      let run kernel reference s c =
+        let len = String.length s in
+        let b = Bytes.make (off + len + guard) '\xa5' in
+        Bytes.blit_string s 0 b off len;
+        kernel c b ~off ~count:(len / 8);
+        Bytes.sub_string b off len = reference c s
+        && Bytes.sub_string b 0 off = String.make off '\xa5'
+        && Bytes.sub_string b (off + len) guard = String.make guard '\xa5'
+      in
       List.for_all
         (fun c ->
-          let b = Bytes.of_string s in
-          FP.Cipher.encrypt_blocks c b ~off:0 ~count:(len / 8);
-          let ok = Bytes.to_string b = reference_encrypt c s in
-          FP.Cipher.decrypt_blocks c b ~off:0 ~count:(len / 8);
-          ok && Bytes.to_string b = s)
-        (ciphers ()))
+          run FP.Cipher.encrypt_blocks reference_encrypt plain c
+          && run FP.Cipher.decrypt_blocks reference_decrypt junk c
+          && run FP.Cipher.decrypt_blocks reference_decrypt (reference_encrypt c plain) c)
+        (ciphers_with k))
 
 let test_swar_known_bytes () =
   (* Spot-check the SWAR lanes against the scalar byte function at the
@@ -84,6 +112,35 @@ let test_swar_known_bytes () =
   check_s "encrypt corners" expected (Bytes.to_string b);
   FP.Cipher.decrypt_blocks FP.Cipher.Simple b ~off:0 ~count:1;
   check_s "decrypt inverts" (Bytes.to_string corner) (Bytes.to_string b)
+
+(* The native SAFER-simplified data path allocates nothing per call:
+   the batch kernels and the fused wire passes over one 1448-byte MSS. *)
+let test_native_path_zero_alloc () =
+  let len = 1448 and n = 2_000 in
+  let skey = Safer_simplified.expand_key key in
+  let fp = FP.Wire.create ~cipher:(FP.Cipher.Safer_simplified skey) ~max_len:len () in
+  let msg = Bytes.of_string (random_msg len) in
+  let wire = Bytes.create len and out = Bytes.create len in
+  let probe name f =
+    for _ = 1 to 16 do
+      f ()
+    done;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+    checkb (Printf.sprintf "%s allocates (%.4f words/call)" name per_call) true
+      (per_call <= 0.01)
+  in
+  probe "encrypt_blocks" (fun () ->
+      Safer_simplified.encrypt_blocks skey wire ~off:0 ~count:(len / 8));
+  probe "decrypt_blocks" (fun () ->
+      Safer_simplified.decrypt_blocks skey wire ~off:0 ~count:(len / 8));
+  probe "Wire.send_ilp" (fun () ->
+      ignore (FP.Wire.send_ilp fp ~src:msg ~src_off:0 ~len ~dst:wire ~dst_off:0));
+  probe "Wire.recv_ilp" (fun () ->
+      ignore (FP.Wire.recv_ilp fp ~src:wire ~src_off:0 ~len ~dst:out ~dst_off:0))
 
 (* ------------------------------------------------------------------ *)
 (* Wire codec *)
@@ -466,7 +523,9 @@ let () =
           Alcotest.test_case "bounds" `Quick test_blit_bounds ] );
       ( "cipher",
         [ qc prop_native_matches_reference;
-          Alcotest.test_case "SWAR corners" `Quick test_swar_known_bytes ] );
+          Alcotest.test_case "SWAR corners" `Quick test_swar_known_bytes;
+          Alcotest.test_case "native SAFER-simplified path allocates nothing"
+            `Quick test_native_path_zero_alloc ] );
       ( "wire",
         [ Alcotest.test_case "send paths agree" `Quick test_send_paths_agree;
           Alcotest.test_case "recv paths agree" `Quick test_recv_paths_agree;
