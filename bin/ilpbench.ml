@@ -280,13 +280,14 @@ let mem_cmd =
   let check =
     Arg.(value & flag
          & info [ "check" ]
-             ~doc:"Fail (exit 1) unless the single-copy gates hold: at the \
-                   largest size, bytes-copied ratio >= 2 on the native lanes \
-                   — overall and on the receive direction alone — and \
-                   minor-words ratio >= 2 on the simulated lanes, with \
-                   every pool balanced (an unreturned rx placement buffer \
-                   fails here) and disabled-path tracing allocation-free — \
-                   including across a crash-resumed transfer's aborts.")
+             ~doc:"Fail (exit 1) unless the single-copy gates hold on every \
+                   lane: no fresh host allocation, receive copies the wire \
+                   bytes exactly once, send copies them once (native ILP), \
+                   twice (native separate) or never (simulated), minor \
+                   words per message do not grow with size, every pool \
+                   balances (an unreturned rx placement buffer fails here) \
+                   — including across a crash-resumed transfer's aborts — \
+                   and disabled-path tracing is allocation-free.")
   in
   (* The abort-path pool gate: crash-resumed transfers tear sockets and
      server instances down mid-flight; every pooled buffer they held must
@@ -332,9 +333,9 @@ let mem_cmd =
           match gates with
           | Ok () ->
               print_endline
-                "mem gates held: pooled path moves <= half the bytes (on the \
-                 receive direction too) and allocates <= half the minor \
-                 words; pool balanced across crash-resumed aborts";
+                "mem gates held: no fresh allocation, one receive copy, \
+                 send copies as the mode dictates, minor words flat across \
+                 sizes; pool balanced across crash-resumed aborts";
               0
           | Error failures ->
               List.iter (fun f -> Printf.eprintf "ilpbench: mem gate: %s\n" f) failures;
@@ -351,8 +352,8 @@ let mem_cmd =
     (Cmd.info "mem"
        ~doc:
          "Memory-traffic benchmark: host bytes copied and GC allocation per \
-          message for the pooled (single-copy) versus legacy data paths, \
-          across modes, backends and sizes.")
+          message on the single-copy data path, across modes, backends and \
+          sizes.")
     Term.(const run $ out $ quick $ check)
 
 (* ------------------------------------------------------------------ *)

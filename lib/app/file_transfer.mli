@@ -39,10 +39,6 @@ type setup = {
   crc : bool;
       (** enable the end-to-end CRC32 TSDU trailer on both engines
           (closes the 16-bit checksum collision hole) *)
-  data_path : Ilp_core.Engine.data_path;
-      (** host-side buffering discipline: [Pooled] (the default) is the
-          single-copy path, [Legacy] the pre-pool per-message allocation
-          baseline *)
   pool : Ilp_fastpath.Pool.t option;
       (** share a caller-owned buffer pool between both engines; [None]
           (the default) creates a fresh pool, making [pool_leaks] a

@@ -8,13 +8,11 @@ module M = Ilp_obs.Metrics
 module Recorder = Ilp_obs.Recorder
 
 type lane = {
-  copied : float;
   copied_tx : float;
   copied_rx : float;
   allocated : float;
   alloc_blocks : float;
   minor_words : float;
-  major_bytes : float;
   pool_balanced : bool;
 }
 
@@ -24,8 +22,7 @@ type point = {
   mode : Engine.mode;
   native : bool;
   msgs : int;
-  legacy : lane;
-  pooled : lane;
+  lane : lane;
 }
 
 type result = {
@@ -41,17 +38,11 @@ let quick_config = { sizes = [ 1024; 65536 ]; native_msgs = 16; sim_msgs = 2 }
 
 let key = "\x3a\x91\x5c\x07\xee\x42\xb8\x1d"
 
-(* Ratio of the legacy quantity to the pooled one; a pooled lane that
-   allocates nothing at all reports a large finite factor rather than
-   infinity so the JSON stays well-formed. *)
-let ratio legacy pooled =
-  if pooled > 0.0 then legacy /. pooled else if legacy > 0.0 then 1.0e9 else 1.0
-
-(* One (payload size, mode, backend, data path) cell: a fresh world, one
-   engine, one staged message sent and received [msgs] times.  Returns the
-   per-message averages of the Memtraffic ledger (host bytes the data path
-   actually moved) and of the GC counters (allocation pressure). *)
-let measure_lane ~mode ~native ~data_path ~payload_len ~msgs =
+(* One (payload size, mode, backend) cell: a fresh world, one engine, one
+   staged message sent and received [msgs] times.  Returns the per-message
+   averages of the Memtraffic ledger (host bytes the data path actually
+   moved) and of the GC minor-heap counter (allocation pressure). *)
+let measure_lane ~mode ~native ~payload_len ~msgs =
   let sim = Sim.create Config.ss10_30 in
   let cipher = Ilp_cipher.Safer_simplified.charged sim ~key () in
   let backend =
@@ -62,8 +53,7 @@ let measure_lane ~mode ~native ~data_path ~payload_len ~msgs =
     else Engine.Simulated
   in
   let eng =
-    Engine.create sim ~cipher ~mode ~backend ~max_message:(payload_len + 256)
-      ~data_path ()
+    Engine.create sim ~cipher ~mode ~backend ~max_message:(payload_len + 256) ()
   in
   let payload = Workload.generate ~len:payload_len ~seed:7 in
   let payload_addr = Workload.install sim payload in
@@ -82,42 +72,32 @@ let measure_lane ~mode ~native ~data_path ~payload_len ~msgs =
         match Engine.rx_separate eng mem ~src:dst ~dst_off:0 ~len:wire_len with
         | Ok () -> ()
         | Error e -> failwith ("Memtrace: rx_separate: " ^ e)));
-    match data_path with
-    | Engine.Legacy -> (
-        match Engine.read_plaintext eng ~len:wire_len with
-        | Ok s -> ignore (Sys.opaque_identity (String.length s))
-        | Error e -> failwith ("Memtrace: read_plaintext: " ^ e))
-    | Engine.Pooled -> (
-        match Engine.read_plaintext_pooled eng ~len:wire_len with
-        | Ok (buf, _) ->
-            ignore (Sys.opaque_identity (Bytes.length buf));
-            Engine.release_plaintext eng buf
-        | Error e -> failwith ("Memtrace: read_plaintext_pooled: " ^ e))
+    match Engine.read_plaintext_pooled eng ~len:wire_len with
+    | Ok (buf, _) ->
+        ignore (Sys.opaque_identity (Bytes.length buf));
+        Engine.release_plaintext eng buf
+    | Error e -> failwith ("Memtrace: read_plaintext_pooled: " ^ e)
   in
   (* Warm-up message: draws the staging buffer, populates the pool's size
      classes and forces lazy tables, so the measured window sees the
      steady state. *)
   one ();
-  (* Both ledger snapshots fall outside the GC probes' window. *)
+  (* Both ledger snapshots fall outside the GC probe's window. *)
   let mt0 = Mt.snapshot () in
   let mw0 = Gc.minor_words () in
-  let ab0 = Gc.allocated_bytes () in
   for _ = 1 to msgs do
     one ()
   done;
   let minor_words = (Gc.minor_words () -. mw0) /. float_of_int msgs in
-  let major_bytes = (Gc.allocated_bytes () -. ab0) /. float_of_int msgs in
   let snap = Mt.diff (Mt.snapshot ()) mt0 in
   Engine.destroy eng;
   let pool_balanced = Pool.outstanding (Engine.pool eng) = 0 in
   let per total = float_of_int total /. float_of_int msgs in
-  ( { copied = per (Mt.copied_total snap);
-      copied_tx = per (Mt.copied_tx_total snap);
+  ( { copied_tx = per (Mt.copied_tx_total snap);
       copied_rx = per (Mt.copied_rx_total snap);
       allocated = per (Mt.allocated_total snap);
       alloc_blocks = per (Mt.alloc_blocks_total snap);
       minor_words;
-      major_bytes;
       pool_balanced },
     wire_len )
 
@@ -176,15 +156,10 @@ let run ?(config = default_config) () =
                 let msgs =
                   if native then config.native_msgs else config.sim_msgs
                 in
-                let legacy, wire_len =
-                  measure_lane ~mode ~native ~data_path:Engine.Legacy
-                    ~payload_len:len ~msgs
+                let lane, wire_len =
+                  measure_lane ~mode ~native ~payload_len:len ~msgs
                 in
-                let pooled, _ =
-                  measure_lane ~mode ~native ~data_path:Engine.Pooled
-                    ~payload_len:len ~msgs
-                in
-                { len; wire_len; mode; native; msgs; legacy; pooled })
+                { len; wire_len; mode; native; msgs; lane })
               [ false; true ])
           [ Engine.Separate; Engine.Ilp ])
       (List.sort compare config.sizes)
@@ -194,20 +169,18 @@ let run ?(config = default_config) () =
 let mode_name = function Engine.Ilp -> "ilp" | Engine.Separate -> "separate"
 let backend_name native = if native then "native" else "sim"
 
-let copied_ratio p = ratio p.legacy.copied p.pooled.copied
-let tx_copied_ratio p = ratio p.legacy.copied_tx p.pooled.copied_tx
-let rx_copied_ratio p = ratio p.legacy.copied_rx p.pooled.copied_rx
-let minor_words_ratio p = ratio p.legacy.minor_words p.pooled.minor_words
+let lane_name p =
+  Printf.sprintf "%d/%s/%s" p.len (mode_name p.mode) (backend_name p.native)
 
-(* The acceptance gates: at the largest size, the pooled path moves at
-   most half the host bytes of the legacy path — overall AND on the
-   receive direction alone, where the contiguous zero-copy placement is
-   the whole point (native lanes, where the ledger covers the whole data
-   path) — and allocates at most half the minor-heap words (simulated
-   lanes, whose per-block staging allocations are minor-heap traffic);
-   and every lane's pool balances (an rx placement buffer that is
-   acquired but never released — e.g. leaked across an abort — shows up
-   here as an imbalance). *)
+(* The acceptance gates, exact because the ledger is deterministic.  Every
+   lane allocates nothing fresh on the host and balances its pool (an rx
+   placement buffer acquired but never released shows up here).  Receive
+   makes exactly one copy of the wire bytes: the native placement decrypt,
+   or the simulated engine's delivery copy out of simulated memory.  A
+   native send copies the wire bytes once fused and twice separate (the
+   staging buffer); a simulated send copies nothing on the host.  And the
+   GC minor words per message at the largest size do not exceed those at
+   the smallest: no per-byte allocation anywhere on the path. *)
 let check r =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
@@ -216,44 +189,44 @@ let check r =
       "disabled tracing allocates %.4f minor words per instrumentation call \
        (must be allocation-free)"
       r.disabled_trace_minor_words;
-  let largest = List.fold_left (fun a p -> max a p.len) 0 r.points in
+  let exact p what got want =
+    if got <> want then
+      fail "%s: %s %.1f per message, want %.1f" (lane_name p) what got want
+  in
   List.iter
     (fun p ->
-      if not (p.legacy.pool_balanced && p.pooled.pool_balanced) then
-        fail "%d/%s/%s: pool not balanced at exit" p.len (mode_name p.mode)
-          (backend_name p.native);
-      if p.len = largest then
-        if p.native then begin
-          if copied_ratio p < 2.0 then
-            fail "%d/%s/native: bytes-copied ratio %.2f < 2.0 (legacy %.0f, pooled %.0f)"
-              p.len (mode_name p.mode) (copied_ratio p) p.legacy.copied
-              p.pooled.copied;
-          if rx_copied_ratio p < 2.0 then
-            fail
-              "%d/%s/native: rx bytes-copied ratio %.2f < 2.0 (legacy %.0f, \
-               pooled %.0f)"
-              p.len (mode_name p.mode) (rx_copied_ratio p) p.legacy.copied_rx
-              p.pooled.copied_rx
-        end
-        else if minor_words_ratio p < 2.0 then
-          fail "%d/%s/sim: minor-words ratio %.2f < 2.0 (legacy %.0f, pooled %.0f)"
-            p.len (mode_name p.mode) (minor_words_ratio p) p.legacy.minor_words
-            p.pooled.minor_words)
+      let l = p.lane and wire = float_of_int p.wire_len in
+      if not l.pool_balanced then fail "%s: pool not balanced at exit" (lane_name p);
+      exact p "allocated bytes" l.allocated 0.0;
+      exact p "fresh allocations" l.alloc_blocks 0.0;
+      exact p "rx bytes copied" l.copied_rx wire;
+      exact p "tx bytes copied" l.copied_tx
+        (match (p.native, p.mode) with
+        | false, _ -> 0.0
+        | true, Engine.Ilp -> wire
+        | true, Engine.Separate -> 2.0 *. wire))
+    r.points;
+  let lens = List.map (fun p -> p.len) r.points in
+  let smallest = List.fold_left min max_int lens
+  and largest = List.fold_left max 0 lens in
+  List.iter
+    (fun big ->
+      if big.len = largest then
+        match
+          List.find_opt
+            (fun p -> p.len = smallest && p.mode = big.mode && p.native = big.native)
+            r.points
+        with
+        | Some small when big.lane.minor_words > small.lane.minor_words ->
+            fail "%s: %.0f minor words per message, more than %.0f at %d bytes"
+              (lane_name big) big.lane.minor_words small.lane.minor_words
+              smallest
+        | _ -> ())
     r.points;
   match !failures with [] -> Ok () | fs -> Error (List.rev fs)
 
 (* ------------------------------------------------------------------ *)
 (* JSON trajectory (hand-rolled; the container has no JSON library).  *)
-
-let json_lane b name l =
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"%s\": {\"copied_bytes\": %.1f, \"copied_tx_bytes\": %.1f, \
-        \"copied_rx_bytes\": %.1f, \"allocated_bytes\": %.1f, \
-        \"alloc_blocks\": %.2f, \"minor_words\": %.1f, \"major_bytes\": %.1f, \
-        \"pool_balanced\": %b}"
-       name l.copied l.copied_tx l.copied_rx l.allocated l.alloc_blocks
-       l.minor_words l.major_bytes l.pool_balanced)
 
 let to_json r =
   let b = Buffer.create 2048 in
@@ -261,21 +234,18 @@ let to_json r =
     "{\n  \"benchmark\": \"mem\",\n  \"unit\": \"per_msg\",\n  \"points\": [\n";
   List.iteri
     (fun i p ->
+      let l = p.lane in
       if i > 0 then Buffer.add_string b ",\n";
       Buffer.add_string b
         (Printf.sprintf
            "    {\"len\": %d, \"wire_len\": %d, \"mode\": \"%s\", \
-            \"backend\": \"%s\", \"msgs\": %d, "
-           p.len p.wire_len (mode_name p.mode) (backend_name p.native) p.msgs);
-      json_lane b "legacy" p.legacy;
-      Buffer.add_string b ", ";
-      json_lane b "pooled" p.pooled;
-      Buffer.add_string b
-        (Printf.sprintf
-           ", \"copied_ratio\": %.2f, \"tx_copied_ratio\": %.2f, \
-            \"rx_copied_ratio\": %.2f, \"minor_words_ratio\": %.2f}"
-           (copied_ratio p) (tx_copied_ratio p) (rx_copied_ratio p)
-           (minor_words_ratio p)))
+            \"backend\": \"%s\", \"msgs\": %d, \"copied_tx_bytes\": %.1f, \
+            \"copied_rx_bytes\": %.1f, \"allocated_bytes\": %.1f, \
+            \"alloc_blocks\": %.2f, \"minor_words\": %.1f, \
+            \"pool_balanced\": %b}"
+           p.len p.wire_len (mode_name p.mode) (backend_name p.native) p.msgs
+           l.copied_tx l.copied_rx l.allocated l.alloc_blocks l.minor_words
+           l.pool_balanced))
     r.points;
   Buffer.add_string b
     (Printf.sprintf "\n  ],\n  \"disabled_trace_minor_words_per_call\": %.4f,\n"
@@ -294,25 +264,21 @@ let print_table r =
   let f1 = Printf.sprintf "%.0f" in
   Report.table
     ~header:
-      [ "bytes"; "mode"; "backend"; "copy B legacy"; "copy B pooled"; "ratio";
-        "rx B legacy"; "rx B pooled"; "rx ratio"; "mw legacy"; "mw pooled";
-        "ratio" ]
+      [ "bytes"; "wire B"; "mode"; "backend"; "tx copy B"; "rx copy B";
+        "alloc B"; "minor words"; "pool" ]
     (List.map
        (fun p ->
+         let l = p.lane in
          [ string_of_int p.len;
+           string_of_int p.wire_len;
            mode_name p.mode;
            backend_name p.native;
-           f1 p.legacy.copied;
-           f1 p.pooled.copied;
-           Printf.sprintf "%.1fx" (copied_ratio p);
-           f1 p.legacy.copied_rx;
-           f1 p.pooled.copied_rx;
-           Printf.sprintf "%.1fx" (rx_copied_ratio p);
-           f1 p.legacy.minor_words;
-           f1 p.pooled.minor_words;
-           Printf.sprintf "%.1fx" (minor_words_ratio p) ])
+           f1 l.copied_tx;
+           f1 l.copied_rx;
+           f1 l.allocated;
+           f1 l.minor_words;
+           (if l.pool_balanced then "balanced" else "LEAK") ])
        r.points);
   Report.note
-    "host bytes copied per message (Memtraffic ledger; total and receive \
-     direction) and GC minor words per message; legacy = pre-pool data path, \
-     pooled = single-copy\n"
+    "host bytes copied and freshly allocated per message (Memtraffic \
+     ledger, send and receive direction) and GC minor words per message\n"

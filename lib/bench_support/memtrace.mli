@@ -1,6 +1,6 @@
 (** Memory-traffic benchmark: the {!Ilp_fastpath.Memtraffic} ledger and
-    the GC counters, per message, for the pooled (single-copy) versus
-    legacy (per-message allocation) data paths.
+    the GC minor-heap counter, per message, for the engine's single-copy
+    host data path.
 
     This is the paper's thesis applied to the host implementation itself:
     protocol cost is dominated by memory traffic, so the benchmark counts
@@ -8,28 +8,23 @@
     fresh simulated world, sends and receives the same message [msgs]
     times, and averages:
 
-    - the ledger's host-bytes-copied / allocated per message — meaningful
-      on the {e native} backend, where the ledger instruments the whole
-      data path (wire kernels, ring staging, TSDU hand-off);
-    - GC minor words and allocated bytes per message — the headline for
-      the {e simulated} backend, whose legacy lane allocates a small
-      staging block per processed block (thousands of minor-heap
-      allocations per large message) while the pooled lane allocates
-      none.
+    - the ledger's host bytes copied (per direction) and freshly
+      allocated per message.  On the {e native} backend the ledger
+      instruments the whole data path (wire kernels, ring staging, TSDU
+      hand-off); on the {e simulated} backend only the delivery copy out
+      of simulated memory is a host copy;
+    - GC minor words per message, which stay flat across message sizes
+      when nothing on the path allocates per byte.
 
     Results serialise to the BENCH_mem.json trajectory consumed by
     EXPERIMENTS.md §MEM and checked by the CI perf-smoke job. *)
 
 type lane = {
-  copied : float;  (** ledger: host bytes copied per message *)
-  copied_tx : float;  (** the send-direction share of [copied] *)
-  copied_rx : float;
-      (** the receive-direction share of [copied] — the quantity the
-          contiguous zero-copy receive path is built to shrink *)
+  copied_tx : float;  (** ledger: host bytes copied per message on send *)
+  copied_rx : float;  (** ledger: host bytes copied per message on receive *)
   allocated : float;  (** ledger: freshly allocated host bytes per message *)
   alloc_blocks : float;  (** ledger: fresh allocations per message *)
   minor_words : float;  (** GC minor-heap words per message *)
-  major_bytes : float;  (** GC allocated bytes (all heaps) per message *)
   pool_balanced : bool;
       (** acquired = released at lane exit (engine destroyed) *)
 }
@@ -40,8 +35,7 @@ type point = {
   mode : Ilp_core.Engine.mode;
   native : bool;
   msgs : int;  (** messages averaged over *)
-  legacy : lane;
-  pooled : lane;
+  lane : lane;
 }
 
 type result = {
@@ -64,26 +58,20 @@ val default_config : config
 (** 1 KiB / 64 KiB with fewer messages — the CI smoke variant. *)
 val quick_config : config
 
-(** Run the matrix: sizes x (separate, ilp) x (sim, native), each with a
-    legacy and a pooled lane.  Raises [Invalid_argument] on a bad config,
-    [Failure] if any lane rejects its own message. *)
+(** Run the matrix: sizes x (separate, ilp) x (sim, native), one lane
+    each.  Raises [Invalid_argument] on a bad config, [Failure] if any
+    lane rejects its own message. *)
 val run : ?config:config -> unit -> result
 
-val copied_ratio : point -> float
-(** Legacy over pooled bytes-copied (large finite value when the pooled
-    lane copies nothing). *)
-
-(** Per-direction splits of {!copied_ratio}. *)
-val tx_copied_ratio : point -> float
-
-val rx_copied_ratio : point -> float
-val minor_words_ratio : point -> float
-
-(** The acceptance gates: at the largest size, bytes-copied ratio >= 2 on
-    the native lanes — overall and on the receive direction alone — and
-    minor-words ratio >= 2 on the simulated lanes; every lane's pool
-    balanced (a leaked rx placement buffer fails here); and disabled-path
-    tracing allocation-free.  [Error] lists each violated gate. *)
+(** The acceptance gates, exact on the deterministic ledger.  Every lane:
+    no fresh host allocation ([allocated] and [alloc_blocks] zero) and a
+    balanced pool (a leaked rx placement buffer fails here).  Receive
+    copies the wire bytes exactly once ([copied_rx = wire_len]); send
+    copies them once on a native ILP lane, twice on a native separate
+    lane and never on a simulated lane.  Each lane's minor words per
+    message at the largest size are at most those at the smallest size.
+    Disabled-path tracing is allocation-free.  [Error] lists each
+    violated gate, naming the lane as [len/mode/backend]. *)
 val check : result -> (unit, string list) Stdlib.result
 
 (** Serialise to the BENCH_mem.json schema (hand-rolled writer).

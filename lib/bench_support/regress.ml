@@ -8,8 +8,8 @@
    (objects, arrays, strings with simple escapes, numbers, booleans,
    null).  Indicators are chosen for signal-to-noise: the wall
    benchmark's speedups are real wall-clock and get a wide band; the
-   mem ratios and stream goodputs are deterministic (simulated machine,
-   virtual time) and get a tight one. *)
+   mem ledger figures and stream goodputs are deterministic (host byte
+   counts, simulated machine, virtual time) and get a tight one. *)
 
 type json =
   | Null
@@ -240,17 +240,18 @@ let mem_indicators ~tol j =
                         Printf.sprintf "mem.%s[len=%.0f,%s,%s]" name len mode
                           backend;
                       value = v;
-                      direction = Higher_better;
+                      direction = Lower_better;
                       tol;
                       slack = 0.0 } ]
               | None -> []
             in
-            (* Native lanes gate host-bytes ratios (the ledger covers the
-               whole data path there); simulated lanes gate the GC ratio. *)
+            (* Native lanes gate the host bytes copied (the ledger covers
+               the whole data path there); simulated lanes gate the GC
+               minor words. *)
             Some
               (if backend = "native" then
-                 pick "copied_ratio" @ pick "rx_copied_ratio"
-               else pick "minor_words_ratio")
+                 pick "copied_tx_bytes" @ pick "copied_rx_bytes"
+               else pick "minor_words")
         | _ -> None)
       (arr_member "points" j)
   in

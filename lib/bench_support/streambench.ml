@@ -160,24 +160,26 @@ let transfer cfg =
   let delivered = ref 0 and payload = ref 0 in
   let t_done = ref 0.0 in
   Socket.set_on_message rx (fun ~src:_ ~len ->
-      match Engine.read_plaintext rx_eng ~len with
+      match Engine.read_plaintext_pooled rx_eng ~len with
       | Error e -> fail ("decode: " ^ e)
-      | Ok s ->
+      | Ok (buf, plen) ->
           let i = !delivered in
-          if i >= n then fail "receiver: TSDU past the end of the transfer"
-          else begin
-            let cl = chunk_len i in
-            (* Leading header style: 4-byte length field, then the
-               marshalled body, then alignment padding. *)
-            if String.length s < 4 + cl
-               || String.sub s 4 cl <> String.sub contents (i * cfg.tsdu_payload) cl
-            then fail (Printf.sprintf "receiver: TSDU %d not byte-exact" i)
-            else begin
-              delivered := i + 1;
-              payload := !payload + cl;
-              if !delivered = n then t_done := Simclock.now clock
-            end
-          end);
+          (if i >= n then fail "receiver: TSDU past the end of the transfer"
+           else begin
+             let cl = chunk_len i in
+             (* Leading header style: 4-byte length field, then the
+                marshalled body, then alignment padding. *)
+             if plen < 4 + cl
+                || Bytes.sub_string buf 4 cl
+                   <> String.sub contents (i * cfg.tsdu_payload) cl
+             then fail (Printf.sprintf "receiver: TSDU %d not byte-exact" i)
+             else begin
+               delivered := i + 1;
+               payload := !payload + cl;
+               if !delivered = n then t_done := Simclock.now clock
+             end
+           end);
+          Engine.release_plaintext rx_eng buf);
   let next = ref 0 in
   let send_next () =
     let i = !next in

@@ -2,7 +2,6 @@ module Internet = Ilp_checksum.Internet
 module Cipher = Ilp_fastpath.Cipher
 module Wire = Ilp_fastpath.Wire
 module Trace = Ilp_obs.Trace
-module M = Ilp_obs.Metrics
 
 type side = {
   send_ns : float;
@@ -342,9 +341,7 @@ let to_json r =
       json_side b "ilp" p.ilp;
       Buffer.add_string b (Printf.sprintf ", \"speedup\": %.3f}" p.speedup))
     r.points;
-  Buffer.add_string b "\n  ],\n  \"obs\": ";
-  Buffer.add_string b (M.to_json (M.snapshot M.default));
-  Buffer.add_string b "\n}\n";
+  Buffer.add_string b "\n  ]\n}\n";
   Buffer.contents b
 
 let write_json r ~path =

@@ -87,8 +87,8 @@ val stages :
 val print_stage_tables : stage_point list -> unit
 
 (** Serialise to the BENCH_wall.json schema (hand-rolled writer; the
-    container has no JSON library).  Includes an ["obs"] key carrying a
-    {!Ilp_obs.Metrics} snapshot of the process-wide registry. *)
+    container has no JSON library): the run's parameters and one object
+    per message size. *)
 val to_json : result -> string
 
 (** [write_json r ~path] writes {!to_json} output to [path]. *)

@@ -19,8 +19,6 @@ type rx_placement = Early | Late
 
 type backend = Simulated | Native of Ilp_fastpath.Cipher.t
 
-type data_path = Pooled | Legacy
-
 type t = {
   sim : Sim.t;
   cipher : Ilp_cipher.Block_cipher.t;
@@ -32,7 +30,6 @@ type t = {
   linkage : Linkage.t;
   max_message : int;
   coalesce_writes : bool;
-  data_path : data_path;
   pool : Pool.t;
   marshal_dmf : Dmf.t;
   unmarshal_dmf : Dmf.t;
@@ -52,7 +49,7 @@ type t = {
      segment, while its serial fold cost is charged in whichever style the
      engine runs. *)
   crc : Crc32.t option;
-  (* Receive-side placement buffer (native pooled path only): the fused rx
+  (* Receive-side placement buffer (native backend only): the fused rx
      pass decrypts each arriving segment directly into this pool buffer at
      its final TSDU offset, and [read_plaintext_pooled] hands the buffer
      itself to the caller (ownership transfer, no delivery copy).  [None]
@@ -69,8 +66,7 @@ let glue_code = 384 (* loop tests, pointer updates, part dispatch *)
 let create (sim : Sim.t) ~cipher ~mode ?(backend = Simulated)
     ?(linkage = Linkage.Macro)
     ?(max_message = 2048) ?(coalesce_writes = false) ?(header_style = Leading)
-    ?(rx_placement = Early) ?(uniform_units = false) ?(crc32 = false)
-    ?(data_path = Pooled) ?pool () =
+    ?(rx_placement = Early) ?(uniform_units = false) ?(crc32 = false) ?pool () =
   (* Section 5: "uniform processing unit sizes for different data
      manipulation functions could be advantageous" — widen marshalling to
      the cipher's block so the fused loop runs one invocation per block. *)
@@ -106,7 +102,7 @@ let create (sim : Sim.t) ~cipher ~mode ?(backend = Simulated)
   in
   let crc = if crc32 then Some (Crc32.create sim.mem sim.alloc) else None in
   { sim; cipher; backend; fastpath; mode; header_style; rx_placement; linkage; max_message;
-    coalesce_writes; data_path; pool;
+    coalesce_writes; pool;
     marshal_dmf; unmarshal_dmf; encrypt_dmf; decrypt_dmf;
     send_loops; recv_loop; marshal_buf; app_rx; crc; rx_dst = None;
     tr_acc = Array.make 2 0.0 }
@@ -116,7 +112,6 @@ let backend t = t.backend
 let crc32 t = t.crc <> None
 let header_style t = t.header_style
 let rx_placement t = t.rx_placement
-let data_path t = t.data_path
 let pool t = t.pool
 let sim t = t.sim
 let app_rx_base t = t.app_rx
@@ -203,10 +198,8 @@ let u32_be v =
 
 (* Copy [n] stream bytes starting at [pos] into [block+boff], charging
    payload bytes as application-memory reads (word-granular) and
-   generated bytes as ALU work.  The charges are identical on both data
-   paths; only the host-side copy differs — the pooled path reads the
-   backing store directly, the legacy path peeks an intermediate (the
-   pre-PR per-block allocation, kept measurable). *)
+   generated bytes as ALU work; the host-side copy reads the backing
+   store directly. *)
 (* Top-level recursion (not a nested [let rec], which would capture its
    environment and allocate a closure per call): [stream_read] runs once
    per word or cipher block of every simulated message. *)
@@ -234,12 +227,7 @@ let rec stream_read_walk t m segs block i seg_start pos boff n =
             Machine.read m ~addr:(addr + k) ~size:1;
             Machine.compute m 1
           done;
-          (match t.data_path with
-          | Pooled -> Bytes.blit (Mem.raw (mem t)) addr block boff take
-          | Legacy ->
-              Mt.alloc Mt.Marshal take;
-              Bytes.blit (Mem.peek_bytes (mem t) ~pos:addr ~len:take) 0 block
-                boff take));
+          Bytes.blit (Mem.raw (mem t)) addr block boff take);
       stream_read_walk t m segs block i seg_start (pos + take) (boff + take)
         (n - take)
     end
@@ -275,34 +263,19 @@ let make_stream_of_segments t body =
      its value is a stream-build-time computation over the logical body
      bytes (it cannot be folded in part order — the CRC is
      ordering-constrained), while its per-byte fold cost is charged by the
-     fill paths below.  The pooled path folds the segments in place; the
-     legacy path renders them through a Buffer first (the pre-PR copy). *)
+     fill paths below.  The segments are folded in place. *)
   let crc_segs =
     match t.crc with
     | None -> []
     | Some _ ->
+        let raw = Mem.raw (mem t) in
         let value =
-          match t.data_path with
-          | Pooled ->
-              let raw = Mem.raw (mem t) in
-              Crc32.finish
-                (List.fold_left
-                   (fun crc -> function
-                     | Seg_gen s ->
-                         Crc32.fold_string ~crc s ~off:0 ~len:(String.length s)
-                     | Seg_app { addr; len } ->
-                         Crc32.fold_bytes ~crc raw ~off:addr ~len)
-                   Crc32.init body)
-          | Legacy ->
-              let b = Buffer.create (body_len + 8) in
-              List.iter
-                (function
-                  | Seg_gen s -> Buffer.add_string b s
-                  | Seg_app { addr; len } ->
-                      Mt.alloc Mt.Checksum len;
-                      Buffer.add_bytes b (Mem.peek_bytes (mem t) ~pos:addr ~len))
-                body;
-              Crc32.string_crc (Buffer.contents b)
+          Crc32.finish
+            (List.fold_left
+               (fun crc -> function
+                 | Seg_gen s -> Crc32.fold_string ~crc s ~off:0 ~len:(String.length s)
+                 | Seg_app { addr; len } -> Crc32.fold_bytes ~crc raw ~off:addr ~len)
+               Crc32.init body)
         in
         [ Gen (u32_be value) ]
   in
@@ -509,57 +482,11 @@ let fill_separate t plan st ~dst =
 (* ------------------------------------------------------------------ *)
 (* Native backend: the same wire format produced by the un-simulated
    Ilp_fastpath kernels (uncharged — native costs are wall-clock, not
-   simulated cycles; the Memtraffic ledger counts them instead).
-
-   Legacy path: the logical stream is rendered to a fresh buffer, run
-   through the wire codec into a second fresh buffer, and the ciphertext
-   poked into the ring — the pre-PR shape, kept as the measurable
-   baseline and for A/B equivalence tests.
-
-   Pooled path (single-copy): the stream is described as an iovec scatter
-   list over the backing store and assembled by the codec directly into
-   the ring at [dst]; in ILP mode the gather, encrypt and checksum happen
-   in one traversal.  No intermediate buffer exists. *)
-
-let render_stream t st =
-  Mt.alloc Mt.Marshal st.total;
-  let out = Bytes.create st.total in
-  let pos = ref 0 in
-  Array.iter
-    (fun seg ->
-      match seg with
-      | Gen s ->
-          Bytes.blit_string s 0 out !pos (String.length s);
-          Mt.copied Mt.Marshal (String.length s);
-          pos := !pos + String.length s
-      | Payload p ->
-          Mt.alloc Mt.Marshal p.len;
-          Mt.copied Mt.Marshal (2 * p.len);
-          Bytes.blit (Mem.peek_bytes (mem t) ~pos:p.addr ~len:p.len) 0 out !pos p.len;
-          pos := !pos + p.len)
-    st.segs;
-  out
-
-(* Legacy range fill: [plain] is the whole rendered plaintext (rendered
-   once per message, shared by every range of it). *)
-let fill_native_legacy_range t fp plain ~dst ~off ~len =
-  Mt.alloc Mt.Tcp len;
-  let wire = Bytes.create len in
-  match t.mode with
-  | Ilp ->
-      let acc =
-        Wire.send_ilp fp ~src:plain ~src_off:off ~len ~dst:wire ~dst_off:0
-      in
-      Mem.poke_bytes (mem t) ~pos:dst wire;
-      Mt.copied Mt.Tcp len;
-      Some acc
-  | Separate ->
-      (* TCP runs its own checksum pass over the ring, as in the simulated
-         separate path; the accumulator computed here is dropped. *)
-      ignore (Wire.send_separate fp ~src:plain ~src_off:off ~len ~dst:wire ~dst_off:0);
-      Mem.poke_bytes (mem t) ~pos:dst wire;
-      Mt.copied Mt.Tcp len;
-      None
+   simulated cycles; the Memtraffic ledger counts them instead).  The
+   stream is described as an iovec scatter list over the backing store
+   and assembled by the codec directly into the ring at [dst]; in ILP
+   mode the gather, encrypt and checksum happen in one traversal.  No
+   intermediate buffer exists. *)
 
 (* The iovec scatter list describing wire bytes [off, off+len): stream
    segments clipped to the range, payload runs pointing straight into the
@@ -587,7 +514,11 @@ let iovecs_of_range t st ~off ~len =
     st.segs;
   List.rev !iovs
 
-let fill_native_pooled_range t fp st ~dst ~off ~len =
+let fill_native_range t fp st ~dst ~off ~len =
+  (* Native stage spans are emitted by the Wire codec against the wall
+     clock installed via [Trace.set_clock]; the packet id is allocated
+     here so TCP's link/checksum events correlate. *)
+  if Trace.enabled () then ignore (Trace.begin_packet ());
   let raw = Mem.raw (mem t) in
   let iov = iovecs_of_range t st ~off ~len in
   match t.mode with
@@ -596,18 +527,7 @@ let fill_native_pooled_range t fp st ~dst ~off ~len =
       ignore (Wire.sendv_separate fp ~iov ~dst:raw ~dst_off:dst);
       None
 
-let fill_native_range t fp st ~plain ~dst ~off ~len =
-  (* Native stage spans are emitted by the Wire codec against the wall
-     clock installed via [Trace.set_clock]; the packet id is allocated
-     here so TCP's link/checksum events correlate. *)
-  if Trace.enabled () then ignore (Trace.begin_packet ());
-  match t.data_path with
-  | Pooled -> fill_native_pooled_range t fp st ~dst ~off ~len
-  | Legacy -> fill_native_legacy_range t fp (Lazy.force plain) ~dst ~off ~len
-
-let fill_native t fp st ~dst =
-  fill_native_range t fp st ~plain:(lazy (render_stream t st)) ~dst ~off:0
-    ~len:st.total
+let fill_native t fp st ~dst = fill_native_range t fp st ~dst ~off:0 ~len:st.total
 
 let prepared_of_stream t (plan, st) =
   let fill _mem ~dst =
@@ -648,7 +568,6 @@ let prepare_stream_segments t body =
      message) and on the 8-byte units of the plan and the native codec. *)
   let bl = block_len t in
   let seg_unit = bl * 8 / gcd bl 8 in
-  let plain = lazy (render_stream t st) in
   let fill_range mem_ ~dst ~off ~len =
     ignore mem_;
     if off < 0 || len <= 0 || off + len > st.total then
@@ -658,7 +577,7 @@ let prepare_stream_segments t body =
     if off = 0 then M.inc m_sends 1;
     M.inc m_stream_fills 1;
     match t.fastpath with
-    | Some fp -> fill_native_range t fp st ~plain ~dst ~off ~len
+    | Some fp -> fill_native_range t fp st ~dst ~off ~len
     | None -> (
         match t.mode with
         | Ilp -> fill_ilp_range t plan st ~dst ~off ~len
@@ -698,10 +617,7 @@ let check_rx_len t ~dst_off ~len =
          dst_off len t.max_message)
   else Ok ()
 
-(* Native receive helpers.  Legacy: the staged ciphertext is peeked out of
-   simulated memory, run through the fast path into a fresh buffer, and
-   the plaintext poked into the application area — two intermediates per
-   message.  Pooled (the single-copy rx path): the fast path reads the
+(* Native receive helpers (the single-copy rx path): the fast path reads the
    staged ciphertext from the backing store and lands the plaintext
    directly in the engine-owned pool buffer at its final TSDU offset —
    the very buffer [read_plaintext_pooled] will hand to the in-place
@@ -717,37 +633,12 @@ let rx_placement_buf t =
       b
 
 let rx_native_separate t fp ~src ~dst_off ~len =
-  match t.data_path with
-  | Pooled ->
-      let raw = Mem.raw (mem t) in
-      let dst = rx_placement_buf t in
-      ignore (Wire.recv_separate fp ~src:raw ~src_off:src ~len ~dst ~dst_off)
-  | Legacy ->
-      Mt.alloc_rx Mt.Tcp len;
-      Mt.copied_rx Mt.Tcp len;
-      let staged = Mem.peek_bytes (mem t) ~pos:src ~len in
-      Mt.alloc_rx Mt.Marshal len;
-      let plain = Bytes.create len in
-      ignore (Wire.recv_separate fp ~src:staged ~src_off:0 ~len ~dst:plain ~dst_off:0);
-      Mem.poke_bytes (mem t) ~pos:(t.app_rx + dst_off) plain;
-      Mt.copied_rx Mt.Rpc len
+  let dst = rx_placement_buf t in
+  ignore (Wire.recv_separate fp ~src:(Mem.raw (mem t)) ~src_off:src ~len ~dst ~dst_off)
 
 let rx_native_fused t fp ~src ~dst_off ~len =
-  match t.data_path with
-  | Pooled ->
-      let raw = Mem.raw (mem t) in
-      let dst = rx_placement_buf t in
-      Wire.recv_ilp fp ~src:raw ~src_off:src ~len ~dst ~dst_off
-  | Legacy ->
-      Mt.alloc_rx Mt.Tcp len;
-      Mt.copied_rx Mt.Tcp len;
-      let staged = Mem.peek_bytes (mem t) ~pos:src ~len in
-      Mt.alloc_rx Mt.Marshal len;
-      let plain = Bytes.create len in
-      let acc = Wire.recv_ilp fp ~src:staged ~src_off:0 ~len ~dst:plain ~dst_off:0 in
-      Mem.poke_bytes (mem t) ~pos:(t.app_rx + dst_off) plain;
-      Mt.copied_rx Mt.Rpc len;
-      acc
+  let dst = rx_placement_buf t in
+  Wire.recv_ilp fp ~src:(Mem.raw (mem t)) ~src_off:src ~len ~dst ~dst_off
 
 (* Separate receive (figure 5 left, after TCP's checksum pass): decrypt in
    place on the staging area, then unmarshal-and-copy to the application
@@ -862,13 +753,11 @@ let rx_style t =
 (* Shared validation of the plaintext at [app_rx]: the application reads
    the length field and the RPC header words (charged), rejects an
    implausible decrypted length, and verifies the CRC32 trailer when
-   enabled.  Charges are identical for both data paths — pooling changes
-   where the TSDU bytes land on the host, not what the simulated CPU
-   does.  With the native pooled path the plaintext lives in the engine's
+   enabled.  With the native backend the plaintext lives in the engine's
    host placement buffer rather than at [app_rx]; the reads then fetch
    their values from the buffer while charging the same simulated
-   accesses at the same [app_rx] addresses, preserving charge identity
-   with the legacy path. *)
+   accesses at the same [app_rx] addresses, so both backends charge
+   alike. *)
 let validate_plaintext t ~len =
   let m = machine t in
   let get32 addr =
@@ -923,20 +812,6 @@ let validate_plaintext t ~len =
             Error "Engine.read_plaintext: crc32 trailer mismatch"
           else Ok ()
         end
-
-let read_plaintext t ~len =
-  if len < 4 || len > t.max_message then
-    Error (Printf.sprintf "Engine.read_plaintext: implausible segment length %d" len)
-  else
-    match validate_plaintext t ~len with
-    | Error _ as e -> e
-    | Ok () -> (
-        Mt.alloc_rx Mt.Rpc len;
-        Mt.copied_rx Mt.Rpc len;
-        match t.rx_dst with
-        | Some b -> Ok (Bytes.sub_string b 0 len)
-        | None ->
-            Ok (Bytes.unsafe_to_string (Mem.peek_bytes (mem t) ~pos:t.app_rx ~len)))
 
 let read_plaintext_pooled t ~len =
   if len < 4 || len > t.max_message then

@@ -61,21 +61,16 @@ type rx_placement = Early | Late
     kernels — 64-bit loads and stores on real hardware — producing
     byte-identical wire output; its cost is wall-clock time (measured by
     [ilpbench wall]), so the simulated cycle counters are not meaningful
-    for a native engine. *)
-type backend = Simulated | Native of Ilp_fastpath.Cipher.t
+    for a native engine.
 
-(** Host-side data-path discipline (the single-copy work).  [Pooled] (the
-    default) stages native wire assembly as an iovec scatter list gathered
-    directly into the TCP ring, and on receive decrypts each arriving
-    segment straight into an engine-owned pool buffer at its final TSDU
-    offset — the very buffer {!read_plaintext_pooled} then hands to the
-    caller (ownership transfer, no delivery copy).  [Legacy] keeps the
-    pre-pool shape — fresh intermediate buffers on every message — as the
-    measurable baseline for the {!Ilp_fastpath.Memtraffic} ledger and for
-    A/B equivalence tests.  Both paths produce byte-identical wire output
-    and charge identical simulated cycles; only host-side copies and
-    allocations differ. *)
-type data_path = Pooled | Legacy
+    A native engine's host data path is single-copy.  A send stages wire
+    assembly as an iovec scatter list gathered directly into the TCP
+    ring; a receive decrypts each arriving segment straight into an
+    engine-owned pool buffer at its final TSDU offset — the very buffer
+    {!read_plaintext_pooled} then hands to the caller.  The simulated
+    backend produces the same wire bytes and is the reference the native
+    one is tested against. *)
+type backend = Simulated | Native of Ilp_fastpath.Cipher.t
 
 type t
 
@@ -99,7 +94,6 @@ val create :
   ?rx_placement:rx_placement ->
   ?uniform_units:bool ->
   ?crc32:bool ->
-  ?data_path:data_path ->
   ?pool:Ilp_fastpath.Pool.t ->
   unit ->
   t
@@ -109,15 +103,14 @@ val create :
     be given the fast-path cipher matching [cipher] for the wire bytes to
     agree.  [crc32] (default false) appends an end-to-end CRC32 trailer
     word to the marshalled body (inside the encrypted length) and verifies
-    it in {!read_plaintext} — closing the window where a corruption
+    it in {!read_plaintext_pooled} — closing the window where a corruption
     collides in the 16-bit Internet checksum.  The CRC is
     ordering-constrained (section 2.2), so its value is fixed at
     stream-build time like the length field; its serial fold cost is
     charged as one more fused stage in ILP mode and one more pass in
     separate mode.  Both endpoints must agree on this setting.
 
-    [data_path] (default [Pooled]) selects the host-side buffering
-    discipline; [pool] supplies a shared buffer pool (e.g. one pool for
+    [pool] supplies a shared buffer pool (e.g. one pool for
     both ends of a connection), otherwise the engine creates its own. *)
 
 val mode : t -> mode
@@ -128,7 +121,6 @@ val crc32 : t -> bool
 
 val header_style : t -> header_style
 val rx_placement : t -> rx_placement
-val data_path : t -> data_path
 
 (** The engine's buffer pool (created or shared at {!create} time). *)
 val pool : t -> Ilp_fastpath.Pool.t
@@ -252,24 +244,21 @@ val rx_style : t -> rx_style
     message ^ alignment]). *)
 val app_rx_base : t -> int
 
-(** Decode the plaintext at {!app_rx_base}: charged read of the length
-    field and prefix words, then the marshalled bytes as a string
-    (peeked — the caller's stub does the pure decode).  [Error] when the
-    decrypted length field is implausible — the fingerprint of a
-    checksum-colliding corruption that survived TCP's verdict — or, with
-    [crc32] enabled, when the recomputed CRC32 trailer does not match. *)
-val read_plaintext : t -> len:int -> (string, string) result
-
-(** Single-copy variant of {!read_plaintext}: identical validation and
-    identical charges, but the plaintext lands in a buffer acquired from
-    the engine's pool — [Ok (buf, len)] where the TSDU occupies
-    [buf.[0..len-1]] (the buffer's capacity is its size class, possibly
-    larger).  On the native pooled path the returned buffer {e is} the
-    engine's rx placement buffer — the fused receive decrypted every
-    segment directly into it at its final TSDU offset, so delivery is an
-    ownership transfer with no copy at all.  The caller must hand the
-    buffer back with {!release_plaintext} on every path, including after
-    decode errors. *)
+(** Deliver the [len]-byte TSDU just received ([length field ^
+    marshalled message ^ alignment]) after validating it: a charged read
+    of the length field and prefix words, then, with [crc32] enabled, the
+    charged recomputation of the CRC32 trailer.  [Ok (buf, len)] places
+    the TSDU in [buf.[0..len-1]], a buffer from the engine's pool (its
+    capacity is its size class, possibly larger); the caller's stub
+    decodes it in place.  On a native engine [buf] {e is} the rx
+    placement buffer the fused receive decrypted every segment into, so
+    delivery is an ownership transfer with no copy at all; a simulated
+    engine copies the plaintext out of {!app_rx_base} once.  [Error] when
+    [len] is implausible, when the decrypted length field is — the
+    fingerprint of a checksum-colliding corruption that survived TCP's
+    verdict — or when the CRC32 trailer does not match; no buffer is
+    handed out then.  The caller must hand every [Ok] buffer back with
+    {!release_plaintext}, including after decode errors. *)
 val read_plaintext_pooled : t -> len:int -> (Bytes.t * int, string) result
 
 (** Return a buffer obtained from {!read_plaintext_pooled} to the pool. *)

@@ -168,6 +168,95 @@ let test_regress_json_parser () =
   | Ok _ -> Alcotest.fail "malformed JSON must not parse"
   | Error _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Memory-traffic gates *)
+
+module Mtr = B.Memtrace
+
+let contains hay needle =
+  let n = String.length needle and m = String.length hay in
+  let rec at i = i + n <= m && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
+let test_memtrace_tiny_run_passes () =
+  let r =
+    Mtr.run ~config:{ Mtr.sizes = [ 64; 1024 ]; native_msgs = 2; sim_msgs = 1 } ()
+  in
+  check "sizes x modes x backends" 8 (List.length r.Mtr.points);
+  (match Mtr.check r with
+  | Ok () -> ()
+  | Error fs -> Alcotest.failf "gates failed: %s" (String.concat "; " fs));
+  let json = Mtr.to_json r in
+  List.iter
+    (fun key -> checkb ("json has no " ^ key) false (contains json key))
+    [ "legacy"; "ratio"; "major_bytes" ]
+
+(* A hand-built result on which every gate holds: wire 1032 B at 1 KiB and
+   8 B at 64 B, exact copies, no allocation, flat minor words. *)
+let ok_lane ~native ~mode ~wire =
+  { Mtr.copied_tx =
+      (match (native, mode) with
+      | false, _ -> 0.0
+      | true, Ilp_core.Engine.Ilp -> wire
+      | true, Ilp_core.Engine.Separate -> 2.0 *. wire);
+    copied_rx = wire;
+    allocated = 0.0;
+    alloc_blocks = 0.0;
+    minor_words = 100.0;
+    pool_balanced = true }
+
+let hand_built ?(tweak = fun _ l -> l) () =
+  let points =
+    List.concat_map
+      (fun (len, wire_len) ->
+        List.concat_map
+          (fun mode ->
+            List.map
+              (fun native ->
+                let p =
+                  { Mtr.len; wire_len; mode; native; msgs = 1;
+                    lane = ok_lane ~native ~mode ~wire:(float_of_int wire_len) }
+                in
+                { p with Mtr.lane = tweak p p.Mtr.lane })
+              [ false; true ])
+          [ Ilp_core.Engine.Separate; Ilp_core.Engine.Ilp ])
+      [ (64, 72); (1024, 1032) ]
+  in
+  { Mtr.points; disabled_trace_minor_words = 0.0 }
+
+let test_memtrace_gates_bite () =
+  (match Mtr.check (hand_built ()) with
+  | Ok () -> ()
+  | Error fs -> Alcotest.failf "baseline must pass: %s" (String.concat "; " fs));
+  let breaks name ~lane tweak =
+    let target (p : Mtr.point) =
+      Printf.sprintf "%d/%s/%s" p.Mtr.len
+        (match p.Mtr.mode with Ilp_core.Engine.Ilp -> "ilp" | _ -> "separate")
+        (if p.Mtr.native then "native" else "sim")
+      = lane
+    in
+    match
+      Mtr.check (hand_built ~tweak:(fun p l -> if target p then tweak p l else l) ())
+    with
+    | Ok () -> Alcotest.failf "%s: gate did not fire" name
+    | Error fs ->
+        check (name ^ ": one violation") 1 (List.length fs);
+        checkb (name ^ ": names the lane " ^ lane) true
+          (contains (List.hd fs) (lane ^ ":"))
+  in
+  breaks "second receive copy" ~lane:"1024/ilp/native" (fun p l ->
+      { l with Mtr.copied_rx = 2.0 *. float_of_int p.Mtr.wire_len });
+  breaks "staging copy missing" ~lane:"64/separate/native" (fun p l ->
+      { l with Mtr.copied_tx = float_of_int p.Mtr.wire_len });
+  breaks "fresh allocation" ~lane:"64/separate/sim" (fun _ l ->
+      { l with Mtr.allocated = 64.0 });
+  breaks "fresh allocation block" ~lane:"64/ilp/native" (fun _ l ->
+      { l with Mtr.alloc_blocks = 1.0 });
+  breaks "unbalanced pool" ~lane:"1024/separate/native" (fun _ l ->
+      { l with Mtr.pool_balanced = false });
+  breaks "minor words grow with size" ~lane:"1024/ilp/sim" (fun _ l ->
+      { l with Mtr.minor_words = 101.0 })
+
 let test_microbench_simulated () =
   let o = B.Microbench.simulated () in
   checkb "sequential positive" true (o.B.Microbench.sequential_mbps > 0.0);
@@ -213,13 +302,8 @@ let test_wallbench_points () =
         [ p1; p2 ]
   | _ -> Alcotest.fail "missing points");
   let json = B.Wallbench.to_json r in
-  let contains needle =
-    let n = String.length needle and m = String.length json in
-    let rec at i = i + n <= m && (String.sub json i n = needle || at (i + 1)) in
-    at 0
-  in
   List.iter
-    (fun needle -> checkb ("json has " ^ needle) true (contains needle))
+    (fun needle -> checkb ("json has " ^ needle) true (contains json needle))
     [ "\"benchmark\": \"wall\""; "\"cipher\": \"simple\""; "\"points\"";
       "\"speedup\""; "\"send_ns\"" ]
 
@@ -264,6 +348,10 @@ let () =
           Alcotest.test_case "missing current data" `Quick
             test_regress_missing_current;
           Alcotest.test_case "json parser" `Quick test_regress_json_parser ] );
+      ( "memtrace",
+        [ Alcotest.test_case "tiny run passes the gates" `Quick
+            test_memtrace_tiny_run_passes;
+          Alcotest.test_case "each gate bites" `Quick test_memtrace_gates_bite ] );
       ( "microbench",
         [ Alcotest.test_case "simulated" `Quick test_microbench_simulated ] );
       ( "experiments",

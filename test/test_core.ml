@@ -368,6 +368,16 @@ let make_engine ?(mode = Engine.Ilp) ?(header_style = Engine.Leading)
 
 let ok_or_fail = function Ok v -> v | Error e -> Alcotest.fail e
 
+(* The delivered TSDU as a string: a pooled read, copied out and the
+   buffer handed straight back. *)
+let read_plaintext eng ~len =
+  Result.map
+    (fun (buf, n) ->
+      let s = Bytes.sub_string buf 0 n in
+      Engine.release_plaintext eng buf;
+      s)
+    (Engine.read_plaintext_pooled eng ~len)
+
 let engine_roundtrip ~mode ~header_style ~prefix ~payload =
   let sim, eng = make_engine ~mode ~header_style () in
   let payload_addr = install sim payload in
@@ -393,7 +403,7 @@ let engine_roundtrip ~mode ~header_style ~prefix ~payload =
   | Engine.Separate ->
       checkb "separate fill returns no checksum" true (acc_opt = None);
       ok_or_fail (Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len));
-  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.len) in
+  let plaintext = ok_or_fail (read_plaintext eng ~len:prepared.Engine.len) in
   (* The plaintext must contain the prefix at position 4 (leading) or 0
      (trailer), followed by the payload. *)
   let off = match header_style with Engine.Leading -> 4 | Engine.Trailer -> 0 in
@@ -470,7 +480,7 @@ let prop_engine_roundtrip_sizes =
           ok_or_fail
             (Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len));
       ignore acc_opt;
-      let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.len) in
+      let plaintext = ok_or_fail (read_plaintext eng ~len:prepared.Engine.len) in
       String.sub plaintext 4 (String.length prefix) = prefix
       && String.sub plaintext (4 + String.length prefix) payload_len = payload)
 
@@ -502,7 +512,7 @@ let test_engine_rx_late_roundtrip () =
   let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
   ignore (prepared.Engine.fill sim.Sim.mem ~dst:wire);
   ok_or_fail (Engine.rx_late eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len);
-  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.len) in
+  let plaintext = ok_or_fail (read_plaintext eng ~len:prepared.Engine.len) in
   check_s "payload recovered via late placement" payload
     (String.sub plaintext 8 (String.length payload))
 
@@ -544,7 +554,7 @@ let test_engine_segments_multi_payload () =
   ignore
     (ok_or_fail
        (Engine.rx_integrated eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len));
-  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.len) in
+  let plaintext = ok_or_fail (read_plaintext eng ~len:prepared.Engine.len) in
   let expected = "HDR1alpha-region-data\000\000\000MID0beta!!\000\000TL" in
   check_s "body reconstructed" expected
     (String.sub plaintext 4 (String.length expected))
@@ -643,9 +653,9 @@ let test_engine_rx_totality () =
   let sim2, eng2 = make_engine ~mode:Engine.Ilp () in
   checkb "integrated path rejects too" true
     (Result.is_error (Engine.rx_integrated eng2 sim2.Sim.mem ~src:64 ~dst_off:0 ~len:(-8)));
-  checkb "read_plaintext guards its length" true
-    (Result.is_error (Engine.read_plaintext eng2 ~len:2)
-    && Result.is_error (Engine.read_plaintext eng2 ~len:1_000_000))
+  checkb "read_plaintext_pooled guards its length" true
+    (Result.is_error (read_plaintext eng2 ~len:2)
+    && Result.is_error (read_plaintext eng2 ~len:1_000_000))
 
 let test_engine_rx_bad_length_field () =
   (* Deliver a legitimate ciphertext whose decrypted leading length field
@@ -670,7 +680,7 @@ let test_engine_rx_bad_length_field () =
       (* The mangled length may still decode plausibly; then the final read
          must be the guard that fails or succeed with garbage of the right
          shape — but it must not raise. *)
-      (match Engine.read_plaintext eng ~len:prepared.Engine.len with
+      (match read_plaintext eng ~len:prepared.Engine.len with
       | Ok _ | Error _ -> ())
 
 let prop_engine_all_flag_combinations =
@@ -709,7 +719,7 @@ let prop_engine_all_flag_combinations =
           ignore (ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len))
       | Engine.Rx_deferred_style f ->
           ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len));
-      let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.len) in
+      let plaintext = ok_or_fail (read_plaintext eng ~len:prepared.Engine.len) in
       let off = match header_style with Engine.Leading -> 4 | Engine.Trailer -> 0 in
       checksum_ok
       && String.sub plaintext off 4 = "CMBO"
@@ -734,7 +744,7 @@ let crc_roundtrip ~mode ~header_style =
       ignore (ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len))
   | Engine.Rx_deferred_style f ->
       ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len));
-  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.len) in
+  let plaintext = ok_or_fail (read_plaintext eng ~len:prepared.Engine.len) in
   let off = match header_style with Engine.Leading -> 4 | Engine.Trailer -> 0 in
   check_s "prefix recovered" prefix (String.sub plaintext off (String.length prefix));
   check_s "payload recovered" payload
@@ -751,7 +761,7 @@ let test_engine_crc_roundtrips () =
    the one's-complement sum, so TCP's verdict cannot catch it.  Without
    the CRC trailer such a segment sails through to the application with
    scrambled plaintext (the DESIGN.md section 9 hole); with it,
-   [read_plaintext] rejects. *)
+   [read_plaintext_pooled] rejects. *)
 let collide_wire sim wire len =
   let get16 off =
     (Mem.peek_u8 sim.Sim.mem (wire + off) lsl 8)
@@ -792,7 +802,7 @@ let crc_collision ~crc32 =
     (Internet.checksum_string before)
     (Internet.checksum_string after);
   ok_or_fail (Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len);
-  Engine.read_plaintext eng ~len:prepared.Engine.len
+  read_plaintext eng ~len:prepared.Engine.len
 
 let test_engine_crc_catches_collision () =
   (* Without the trailer the colliding corruption reaches the application
@@ -823,23 +833,22 @@ let test_engine_crc_wire_len () =
     (Engine.wire_len with_crc ~prefix_len:8 ~payload_len:104)
 
 (* ------------------------------------------------------------------ *)
-(* Data path: the pooled single-copy path must be indistinguishable from
-   the legacy allocating path in everything but host-side allocation —
-   same wire bytes, same recovered plaintext, same decode errors. *)
+(* Data path: pooled delivery of a received TSDU — its typed errors on a
+   corrupted plaintext and its fallback when the pool recycles nothing. *)
 
-(* One full transfer; returns the engine (rx already run), the wire
-   bytes, and the wire length, leaving the plaintext readable. *)
-let transfer_with ~mode ~header_style ~crc32 ~data_path ?pool () =
+let transfer_prefix = "HDRWORDS"
+let transfer_payload = String.init 333 (fun i -> Char.chr ((i * 37 + 5) land 0xff))
+
+(* One full transfer; returns the engine (rx already run) and the wire
+   length, leaving the plaintext readable. *)
+let transfer_with ~mode ~header_style ~crc32 ?pool () =
   let sim = make_sim () in
   let cipher = Ilp_cipher.Safer_simplified.charged sim ~key:"engineKY" () in
-  let eng =
-    Engine.create sim ~cipher ~mode ~header_style ~crc32 ~data_path ?pool ()
-  in
-  let payload = String.init 333 (fun i -> Char.chr ((i * 37 + 5) land 0xff)) in
-  let payload_addr = install sim payload in
+  let eng = Engine.create sim ~cipher ~mode ~header_style ~crc32 ?pool () in
+  let payload_addr = install sim transfer_payload in
   let prepared =
-    Engine.prepare_send eng ~prefix:"HDRWORDS" ~payload_addr
-      ~payload_len:(String.length payload)
+    Engine.prepare_send eng ~prefix:transfer_prefix ~payload_addr
+      ~payload_len:(String.length transfer_payload)
   in
   let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
   ignore (prepared.Engine.fill sim.Sim.mem ~dst:wire);
@@ -848,90 +857,50 @@ let transfer_with ~mode ~header_style ~crc32 ~data_path ?pool () =
       ignore (ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len))
   | Engine.Rx_deferred_style rx ->
       ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len));
-  (sim, eng, read_back sim wire prepared.Engine.len, prepared.Engine.len)
+  (eng, prepared.Engine.len)
 
-let all_engine_variants =
-  List.concat_map
-    (fun mode ->
-      List.concat_map
-        (fun header_style ->
-          List.map (fun crc32 -> (mode, header_style, crc32)) [ false; true ])
-        [ Engine.Leading; Engine.Trailer ])
-    [ Engine.Ilp; Engine.Separate ]
-
-let test_data_path_wire_identical () =
+let test_delivery_corruption_errors () =
+  (* A corruption planted in the decoded plaintext surfaces as a typed
+     error with an exact message, and no buffer is handed out. *)
   List.iter
-    (fun (mode, header_style, crc32) ->
-      let _, ep, wire_p, len_p =
-        transfer_with ~mode ~header_style ~crc32 ~data_path:Engine.Pooled ()
+    (fun (poke_off, what, expected) ->
+      let eng, len =
+        transfer_with ~mode:Engine.Ilp ~header_style:Engine.Leading ~crc32:true ()
       in
-      let _, el, wire_l, len_l =
-        transfer_with ~mode ~header_style ~crc32 ~data_path:Engine.Legacy ()
-      in
-      check "wire length identical" len_p len_l;
-      check_s "wire bytes identical pooled vs legacy" wire_p wire_l;
-      Engine.destroy ep;
-      Engine.destroy el)
-    all_engine_variants
-
-let test_data_path_plaintext_identical () =
-  List.iter
-    (fun (mode, header_style, crc32) ->
-      (* Same engine: both read paths must decode the same TSDU. *)
-      List.iter
-        (fun data_path ->
-          let _, eng, _, len =
-            transfer_with ~mode ~header_style ~crc32 ~data_path ()
-          in
-          let legacy = ok_or_fail (Engine.read_plaintext eng ~len) in
-          let buf, n = ok_or_fail (Engine.read_plaintext_pooled eng ~len) in
-          check_s "pooled read = legacy read" legacy (Bytes.sub_string buf 0 n);
-          Engine.release_plaintext eng buf;
-          Engine.destroy eng;
-          check "pool balanced after release + destroy" 0
-            (Ilp_fastpath.Pool.outstanding (Engine.pool eng)))
-        [ Engine.Pooled; Engine.Legacy ])
-    all_engine_variants
-
-let test_data_path_errors_identical () =
-  (* A corruption planted in the decoded plaintext must surface as the
-     same error through both read paths. *)
-  List.iter
-    (fun (poke_off, what) ->
-      let _, eng, _, len =
-        transfer_with ~mode:Engine.Ilp ~header_style:Engine.Leading ~crc32:true
-          ~data_path:Engine.Pooled ()
-      in
-      let sim_mem_addr = Engine.app_rx_base eng + poke_off in
       let sim = Engine.sim eng in
-      Mem.poke_u8 sim.Sim.mem sim_mem_addr
-        (Mem.peek_u8 sim.Sim.mem sim_mem_addr lxor 0xff);
-      let e_legacy =
-        match Engine.read_plaintext eng ~len with
-        | Ok _ -> Alcotest.fail (what ^ ": legacy read must reject")
-        | Error e -> e
-      in
+      let addr = Engine.app_rx_base eng + poke_off in
+      let enc_len = Mem.get_u32 sim.Sim.mem (Engine.app_rx_base eng) in
+      Mem.poke_u8 sim.Sim.mem addr (Mem.peek_u8 sim.Sim.mem addr lxor 0xff);
       (match Engine.read_plaintext_pooled eng ~len with
       | Ok (buf, _) ->
           Engine.release_plaintext eng buf;
           Alcotest.fail (what ^ ": pooled read must reject")
-      | Error e -> check_s (what ^ ": identical error text") e_legacy e);
+      | Error e -> check_s (what ^ ": error text") (expected enc_len) e);
       Engine.destroy eng;
       check "no pool leak on error path" 0
         (Ilp_fastpath.Pool.outstanding (Engine.pool eng)))
-    [ (0, "length field corrupted"); (40, "payload corrupted under crc") ]
+    [ ( 0,
+        "length field corrupted",
+        fun enc_len ->
+          Printf.sprintf "Engine.read_plaintext: bad length field %d"
+            (enc_len lxor 0xff00_0000) );
+      ( 40,
+        "payload corrupted under crc",
+        fun _ -> "Engine.read_plaintext: crc32 trailer mismatch" ) ]
 
-let test_data_path_shared_pool_exhaustion () =
+let test_delivery_shared_pool_exhaustion () =
   (* A cap-0 shared pool forces the exhaustion fallback on every acquire;
      transfers must still succeed and stay leak-free. *)
   let pool = Ilp_fastpath.Pool.create ~class_cap:0 () in
-  let _, eng, _, len =
+  let eng, len =
     transfer_with ~mode:Engine.Separate ~header_style:Engine.Trailer
-      ~crc32:false ~data_path:Engine.Pooled ~pool ()
+      ~crc32:false ~pool ()
   in
-  let legacy = ok_or_fail (Engine.read_plaintext eng ~len) in
   let buf, n = ok_or_fail (Engine.read_plaintext_pooled eng ~len) in
-  check_s "fallback decode identical" legacy (Bytes.sub_string buf 0 n);
+  check_s "fallback decode recovers the message"
+    (transfer_prefix ^ transfer_payload)
+    (Bytes.sub_string buf 0 (String.length transfer_prefix + String.length transfer_payload));
+  check "whole TSDU delivered" len n;
   Engine.release_plaintext eng buf;
   Engine.destroy eng;
   let s = Ilp_fastpath.Pool.stats pool in
@@ -1007,11 +976,7 @@ let () =
           Alcotest.test_case "wire length adds one word" `Quick
             test_engine_crc_wire_len ] );
       ( "data path",
-        [ Alcotest.test_case "wire bytes identical pooled vs legacy" `Quick
-            test_data_path_wire_identical;
-          Alcotest.test_case "plaintext identical across read paths" `Quick
-            test_data_path_plaintext_identical;
-          Alcotest.test_case "identical errors on corruption" `Quick
-            test_data_path_errors_identical;
+        [ Alcotest.test_case "typed errors on corruption" `Quick
+            test_delivery_corruption_errors;
           Alcotest.test_case "shared-pool exhaustion fallback" `Quick
-            test_data_path_shared_pool_exhaustion ] ) ]
+            test_delivery_shared_pool_exhaustion ] ) ]

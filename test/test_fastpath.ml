@@ -245,14 +245,15 @@ let native_of_kind = function
   | K_des -> FP.Cipher.Des (Des.expand_key key)
 
 (* Build one engine, send one message, return the wire bytes, the fill
-   checksum, and the received plaintext (driving the engine's own rx). *)
-let one_transfer ~mode ~backend_native kind =
+   checksum, and the received plaintext (driving the engine's own rx and
+   its pooled delivery). *)
+let one_transfer ~mode ~header_style ~crc32 ~backend_native kind =
   let sim = Sim.create (Config.custom ()) in
   let cipher = charged_of_kind sim kind in
   let backend =
     if backend_native then Engine.Native (native_of_kind kind) else Engine.Simulated
   in
-  let eng = Engine.create sim ~cipher ~mode ~backend () in
+  let eng = Engine.create sim ~cipher ~mode ~backend ~header_style ~crc32 () in
   let payload = random_msg 600 in
   let payload_addr = Alloc.alloc sim.Sim.alloc ~align:8 (String.length payload) in
   Mem.poke_string sim.Sim.mem ~pos:payload_addr payload;
@@ -269,29 +270,44 @@ let one_transfer ~mode ~backend_native kind =
       ignore (ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len))
   | Engine.Rx_deferred_style rx ->
       ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len));
-  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.len) in
+  let buf, n = ok_or_fail (Engine.read_plaintext_pooled eng ~len:prepared.Engine.len) in
+  let plaintext = Bytes.sub_string buf 0 n in
+  Engine.release_plaintext eng buf;
+  Engine.destroy eng;
+  check "pool balanced after release + destroy" 0
+    (FP.Pool.outstanding (Engine.pool eng));
   (Bytes.to_string wire_bytes, acc_opt, plaintext)
 
+(* Every engine variant (mode x header style x CRC32 trailer) under every
+   cipher: the native backend must match the simulated reference. *)
 let test_backends_byte_identical () =
   List.iter
-    (fun kind ->
-      List.iter
-        (fun mode ->
-          let wire_sim, acc_sim, plain_sim =
-            one_transfer ~mode ~backend_native:false kind
-          in
-          let wire_nat, acc_nat, plain_nat =
-            one_transfer ~mode ~backend_native:true kind
-          in
-          checkb "wire bytes identical across backends" true (wire_sim = wire_nat);
-          check_s "plaintext identical across backends" plain_sim plain_nat;
-          match (mode, acc_sim, acc_nat) with
-          | Engine.Ilp, Some a, Some b ->
-              check "fill checksums agree" (Internet.finish a) (Internet.finish b)
-          | Engine.Separate, None, None -> ()
-          | _ -> Alcotest.fail "fill checksum presence differs across backends")
-        [ Engine.Ilp; Engine.Separate ])
-    [ K_simple; K_simplified; K_safer; K_des ]
+    (fun (kind, mode, header_style, crc32) ->
+      let wire_sim, acc_sim, plain_sim =
+        one_transfer ~mode ~header_style ~crc32 ~backend_native:false kind
+      in
+      let wire_nat, acc_nat, plain_nat =
+        one_transfer ~mode ~header_style ~crc32 ~backend_native:true kind
+      in
+      checkb "wire bytes identical across backends" true (wire_sim = wire_nat);
+      check_s "plaintext identical across backends" plain_sim plain_nat;
+      match (mode, acc_sim, acc_nat) with
+      | Engine.Ilp, Some a, Some b ->
+          check "fill checksums agree" (Internet.finish a) (Internet.finish b)
+      | Engine.Separate, None, None -> ()
+      | _ -> Alcotest.fail "fill checksum presence differs across backends")
+    (List.concat_map
+       (fun kind ->
+         List.concat_map
+           (fun mode ->
+             List.concat_map
+               (fun header_style ->
+                 List.map
+                   (fun crc32 -> (kind, mode, header_style, crc32))
+                   [ false; true ])
+               [ Engine.Leading; Engine.Trailer ])
+           [ Engine.Ilp; Engine.Separate ])
+       [ K_simple; K_simplified; K_safer; K_des ])
 
 let test_native_rx_checksum_agrees () =
   (* The native integrated receive must return the same accumulator the
