@@ -143,6 +143,21 @@ let retouch t ~first ~second ~times =
     t.age.(second) <- t.tick
   end
 
+let tag t ~addr = locate_tag t addr
+
+(* A valid way holding the line's tag is the one [find_way] would return:
+   a line is filled only after the search misses, so its tag sits in at
+   most one valid way of the set. *)
+let rec rehit t ~tags ~ways j =
+  if j = Array.length tags then j
+  else
+    let w = ways.(j) in
+    if w >= 0 && t.valid.(w) && t.tags.(w) = tags.(j) then begin
+      touch t w;
+      rehit t ~tags ~ways (j + 1)
+    end
+    else j
+
 let present t ~addr = find_way t (locate_set t addr) (locate_tag t addr) >= 0
 
 let flush t =

@@ -44,9 +44,9 @@ val writeback : outcome -> bool
     must be read to fill it. *)
 val filled : outcome -> bool
 
-(** The way the access touched, as an index for {!retouch}.  Meaningful
-    only when the access hit or filled; a store-around miss touches no
-    way. *)
+(** The way the access touched, as an index for {!retouch} and
+    {!rehit}.  Meaningful only when the access hit or filled; a
+    store-around miss touches no way. *)
 val way : outcome -> int
 
 (** [access t ~addr ~write] touches the single line containing [addr].
@@ -60,6 +60,20 @@ val access : t -> addr:int -> write:bool -> outcome
     Dirtiness is not changed: a repeated write hit finds its line already
     dirty. *)
 val retouch : t -> first:int -> second:int -> times:int -> unit
+
+(** [tag t ~addr] is the tag the line holding [addr] is stored under. *)
+val tag : t -> addr:int -> int
+
+(** [rehit t ~tags ~ways j] replays read hits on remembered ways.  Line
+    [k] of the run has tag [tags.(k)] and was last seen in way [ways.(k)]
+    (an index from {!way}, of the set that line maps to; negative for
+    "not known").  From [k = j] on, while way [ways.(k)] is valid and
+    holds [tags.(k)], it updates the LRU state exactly as a read hit on
+    that line ({!access} with [~write:false]) would and goes on to
+    [k + 1].  Returns the first [k] whose way does not hold its line, or
+    [Array.length tags].  A tag sits in at most one valid way of a set,
+    so a way that holds it is the one {!access} would find. *)
+val rehit : t -> tags:int array -> ways:int array -> int -> int
 
 (** [present t ~addr] reports whether the line holding [addr] is resident,
     without updating LRU state. *)

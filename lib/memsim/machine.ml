@@ -1,3 +1,17 @@
+(* What [exec] remembers about one code region: the L1I tag of each of
+   its lines, computed once, and the way each line was last found in or
+   filled into ([-1] before its first fetch). *)
+type memo = { first : int; tags : int array; ways : int array }
+
+(* Keyed by address and length: one region reached through two
+   allocators shares a memo, and every field of the key is immutable. *)
+module Memos = Hashtbl.Make (struct
+  type t = Code.region
+
+  let equal (a : t) (b : t) = a.Code.base = b.Code.base && a.Code.len = b.Code.len
+  let hash (r : t) = ((r.Code.base lsr 6) + (r.Code.len * 65599)) land max_int
+end)
+
 type t = {
   cfg : Config.t;
   l1d_write_through : bool;
@@ -14,6 +28,7 @@ type t = {
   mem_cycles : float;
   store_buffer_cycles : float;
   compute_scale : float;
+  memos : memo Memos.t;
 }
 
 let create cfg =
@@ -29,7 +44,8 @@ let create cfg =
     l2_hit_cycles = float_of_int (Config.l2_hit_cycles cfg);
     mem_cycles = float_of_int (Config.mem_cycles cfg);
     store_buffer_cycles = float_of_int (Config.store_buffer_cycles cfg);
-    compute_scale = cfg.Config.compute_scale }
+    compute_scale = cfg.Config.compute_scale;
+    memos = Memos.create 64 }
 
 let config t = t.cfg
 
@@ -112,20 +128,52 @@ let data_access t kind ~addr ~size =
 let read t ~addr ~size = ignore (data_access t Stats.Read ~addr ~size)
 let write t ~addr ~size = ignore (data_access t Stats.Write ~addr ~size)
 
+(* One instruction line looked up in full: the L1I search and, on a
+   miss, the fill from below.  Returns the way the line now occupies.
+   The access itself is counted by the caller. *)
+let fill_line t a =
+  let o = Cache.access t.l1i ~addr:a ~write:false in
+  if not (Cache.hit o) then begin
+    Stats.record_miss t.stats Stats.Ifetch ~size:4 ~level:1;
+    below_l1 t Stats.Ifetch ~size:4 ~addr:a ~write:false
+  end;
+  Cache.way o
+
+let fetch_line t ~addr =
+  Stats.record_access t.stats Stats.Ifetch ~size:4;
+  ignore (fill_line t (addr land lnot (Cache.line_size t.l1i - 1)))
+
+let memo_of t (region : Code.region) =
+  let line = Cache.line_size t.l1i in
+  let first = region.Code.base land lnot (line - 1) in
+  let last = (region.Code.base + region.Code.len - 1) land lnot (line - 1) in
+  let n = ((last - first) / line) + 1 in
+  let memo =
+    { first;
+      tags = Array.init n (fun j -> Cache.tag t.l1i ~addr:(first + (j * line)));
+      ways = Array.make n (-1) }
+  in
+  Memos.add t.memos region memo;
+  memo
+
+(* Lines [j..] of [memo] in order: each run of lines still in their
+   memoized ways is replayed as read hits by [Cache.rehit], which charge
+   nothing; the line that ends a run takes the full path and records the
+   way it now occupies.  Misses thus run in line order, so the cycle
+   charges add up in their original order: the result is bit for bit
+   that of [fetch_line] on every line. *)
+let rec settle t memo ~line j =
+  let j = Cache.rehit t.l1i ~tags:memo.tags ~ways:memo.ways j in
+  if j < Array.length memo.tags then begin
+    memo.ways.(j) <- fill_line t (memo.first + (j * line));
+    settle t memo ~line (j + 1)
+  end
+
 let exec t (region : Code.region) =
   if region.Code.len > 0 then begin
-    let line = Cache.line_size t.l1i in
-    let first = region.Code.base land lnot (line - 1) in
-    let last = (region.Code.base + region.Code.len - 1) land lnot (line - 1) in
-    for j = 0 to (last - first) / line do
-      let a = first + (j * line) in
-      Stats.record_access t.stats Stats.Ifetch ~size:4;
-      let o = Cache.access t.l1i ~addr:a ~write:false in
-      if not (Cache.hit o) then begin
-        Stats.record_miss t.stats Stats.Ifetch ~size:4 ~level:1;
-        below_l1 t Stats.Ifetch ~size:4 ~addr:a ~write:false
-      end
-    done
+    let memo = try Memos.find t.memos region with Not_found -> memo_of t region in
+    Stats.add_accesses t.stats Stats.Ifetch ~size:4 (Array.length memo.tags);
+    settle t memo ~line:(Cache.line_size t.l1i) 0
   end
 
 let compute t ops =

@@ -35,9 +35,27 @@ val write : t -> addr:int -> size:int -> unit
     {!Mem.blit}) and allocates nothing. *)
 val copy : t -> src:int -> dst:int -> len:int -> unit_len:int -> unit
 
-(** [exec t region] fetches a code region through the instruction cache.
-    Only misses cost cycles; the execution cost itself is charged by the
-    caller via {!compute}. *)
+(** [fetch_line t ~addr] fetches the instruction line holding [addr]:
+    one 4-byte {!Stats.Ifetch} access, a full instruction-cache lookup
+    and, on a miss, the fill from the level below.  Only misses cost
+    cycles. *)
+val fetch_line : t -> addr:int -> unit
+
+(** [exec t region] fetches a code region through the instruction cache:
+    the cycles, the ledger and the cache state come out bit for bit as
+    {!fetch_line} on each line the region spans, in address order, leaves
+    them.  The execution cost itself is charged by the caller via
+    {!compute}.
+
+    The machine keeps a memo per region it has executed, keyed by the
+    region's address and length: each line's instruction-cache tag,
+    computed once, and the way the line last occupied.  A line whose
+    memoized way is valid and still holds its tag is a hit on that way —
+    a tag sits in at most one valid way of a set, so the full lookup
+    would find the same one — and costs one compare and an LRU update;
+    any other line takes the full lookup and refreshes its way.  The
+    accesses are counted once per call.  After a region's first
+    execution, [exec] allocates nothing, on hits and on misses. *)
 val exec : t -> Code.region -> unit
 
 (** [compute t ops] charges [ops] abstract ALU operations

@@ -31,8 +31,9 @@ let header_checksum s =
   Bytes.set_uint16_be b 10 0;
   lnot (sum16 b ~len:header_len) land 0xffff
 
-let encode t =
-  let b = Bytes.create header_len in
+(* The header, checksum included, into the first [header_len] bytes of
+   [b]. *)
+let write_header t b =
   Bytes.set_uint8 b 0 0x45 (* version 4, IHL 5 *);
   Bytes.set_uint8 b 1 t.tos;
   Bytes.set_uint16_be b 2 t.total_len;
@@ -43,16 +44,24 @@ let encode t =
   Bytes.set_uint16_be b 10 0;
   Bytes.set_int32_be b 12 (Int32.of_int (t.src land 0xffff_ffff));
   Bytes.set_int32_be b 16 (Int32.of_int (t.dst land 0xffff_ffff));
-  let ck = lnot (sum16 b ~len:header_len) land 0xffff in
-  Bytes.set_uint16_be b 10 ck;
+  Bytes.set_uint16_be b 10 (lnot (sum16 b ~len:header_len) land 0xffff)
+
+(* One allocation per datagram: header and payload are written straight
+   into the wire string. *)
+let frame t src ~pos ~len =
+  if t.total_len <> header_len + len then
+    invalid_arg "Ipv4.frame: total_len disagrees with payload";
+  let b = Bytes.create (header_len + len) in
+  write_header t b;
+  Bytes.blit src pos b header_len len;
   Bytes.unsafe_to_string b
 
 let encapsulate t payload =
   if t.total_len <> header_len + String.length payload then
     invalid_arg "Ipv4.encapsulate: total_len disagrees with payload";
-  encode t ^ payload
+  frame t (Bytes.unsafe_of_string payload) ~pos:0 ~len:(String.length payload)
 
-let decapsulate wire =
+let validate wire =
   let n = String.length wire in
   if n < header_len then Error "short IP datagram"
   else
@@ -63,15 +72,18 @@ let decapsulate wire =
       let total_len = Bytes.get_uint16_be b 2 in
       if total_len <> n then
         Error (Printf.sprintf "total length %d but datagram has %d bytes" total_len n)
-      else if sum16 (Bytes.sub b 0 header_len) ~len:header_len <> 0xffff then
-        Error "bad IP header checksum"
+      else if sum16 b ~len:header_len <> 0xffff then Error "bad IP header checksum"
       else
         Ok
-          ( { tos = Bytes.get_uint8 b 1;
-              total_len;
-              ident = Bytes.get_uint16_be b 4;
-              ttl = Bytes.get_uint8 b 8;
-              protocol = Bytes.get_uint8 b 9;
-              src = Int32.to_int (Bytes.get_int32_be b 12) land 0xffff_ffff;
-              dst = Int32.to_int (Bytes.get_int32_be b 16) land 0xffff_ffff },
-            String.sub wire header_len (n - header_len) )
+          { tos = Bytes.get_uint8 b 1;
+            total_len;
+            ident = Bytes.get_uint16_be b 4;
+            ttl = Bytes.get_uint8 b 8;
+            protocol = Bytes.get_uint8 b 9;
+            src = Int32.to_int (Bytes.get_int32_be b 12) land 0xffff_ffff;
+            dst = Int32.to_int (Bytes.get_int32_be b 16) land 0xffff_ffff }
+
+let decapsulate wire =
+  match validate wire with
+  | Error e -> Error e
+  | Ok t -> Ok (t, String.sub wire header_len (String.length wire - header_len))

@@ -34,8 +34,17 @@ val make :
     correct checksum) followed by [payload]. *)
 val encapsulate : t -> string -> string
 
-(** [decapsulate wire] validates version, header length, total length and
-    header checksum, returning the header and the payload. *)
+(** [frame t src ~pos ~len] is [encapsulate t] of the [len] bytes of
+    [src] from [pos], built with one allocation. *)
+val frame : t -> Bytes.t -> pos:int -> len:int -> string
+
+(** [validate wire] checks version, header length, total length and header
+    checksum, returning the header; the payload is the rest of [wire],
+    from offset {!header_len}.  Copies nothing. *)
+val validate : string -> (t, string) result
+
+(** [decapsulate wire] is {!validate} returning a copy of the payload
+    too. *)
 val decapsulate : string -> (t * string, string) result
 
 (** [header_checksum bytes] computes the checksum of a 20-byte header

@@ -636,16 +636,13 @@ let transmit t header ~payload =
         ~unit_len:blit_unit);
   t.syscopy_send_cycles_us <-
     t.syscopy_send_cycles_us +. (Machine.micros (machine t) -. before);
-  let segment =
-    Bytes.unsafe_to_string
-      (Mem.peek_bytes (mem t) ~pos:t.tx_kernel ~len:(hlen + payload_len))
-  in
   (* The kernel part passes the segment to IP (loopback, never
-     fragmented). *)
+     fragmented), which frames it straight from the kernel buffer. *)
+  let seg_len = hlen + payload_len in
   t.ip_ident <- (t.ip_ident + 1) land 0xffff;
   let ip =
     Ipv4.make ~ident:t.ip_ident ~src:Ipv4.loopback ~dst:Ipv4.loopback
-      ~payload_len:(String.length segment) ()
+      ~payload_len:seg_len ()
   in
   M.bump t.ledger s_segments_sent 1;
   M.observe m_seg_payload payload_len;
@@ -654,7 +651,7 @@ let transmit t header ~payload =
       ~packet:(Trace.current_packet ()) ~ts:(Machine.micros (machine t));
   t.wire_out
     (Datagram.create ~src_port:t.local_port ~dst_port:t.remote_port
-       ~payload:(Ipv4.encapsulate ip segment))
+       ~payload:(Ipv4.frame ip (Mem.raw (mem t)) ~pos:t.tx_kernel ~len:seg_len))
 
 let send_control t ~flags =
   let h = base_header t ~flags in
@@ -1952,15 +1949,17 @@ let enter_time_wait t =
   t.tw_timer <- Some timer
 
 let handle_datagram t (dgram : Datagram.t) =
-  match Ipv4.decapsulate dgram.Datagram.payload with
+  let wire = dgram.Datagram.payload in
+  match Ipv4.validate wire with
   | Error _ ->
       M.bump t.ledger s_ip_errors 1;
       count_drop t Bad_ip
-  | Ok (ip, _) when ip.Ipv4.protocol <> Ipv4.protocol_tcp ->
+  | Ok ip when ip.Ipv4.protocol <> Ipv4.protocol_tcp ->
       M.bump t.ledger s_ip_errors 1;
       count_drop t Bad_ip
-  | Ok (_, wire) ->
-  let total = String.length wire in
+  | Ok _ ->
+  (* The TCP segment: [wire] past the IP header. *)
+  let total = String.length wire - Ipv4.header_len in
   if total < Tcp_header.size then count_drop t Bad_header
   else if total > seg_max t then count_drop t Bad_length
   else begin
@@ -1970,7 +1969,7 @@ let handle_datagram t (dgram : Datagram.t) =
     (* Kernel demultiplexing and tcp_input connection lookup. *)
     Machine.compute (machine t) ack_ops;
     (* Network adapter DMA into the kernel buffer: not a CPU cost. *)
-    Mem.poke_string (mem t) ~pos:t.kernel_rx wire;
+    Bytes.blit_string wire Ipv4.header_len (Mem.raw (mem t)) t.kernel_rx total;
     (* read(): system copy kernel -> user staging, then header parse
        (data offset included: an option area is walked and must be the
        one canonical SACK layout). *)

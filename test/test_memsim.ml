@@ -220,13 +220,61 @@ let test_machine_straddling_access () =
 
 let test_machine_exec_warm () =
   let m = tiny () in
+  let st = Machine.stats m in
+  let fetches () = Stats.accesses st Stats.Ifetch in
+  let misses () = Stats.misses st Stats.Ifetch ~level:1 in
   let code = Code.allocator () in
-  let region = Code.alloc code ~len:64 in
+  (* Four 16-byte lines of the direct-mapped 256-byte L1I. *)
+  let region = Code.alloc code ~len:64 and n = 4 in
   Machine.exec m region;
   let c1 = Machine.cycles m in
   checkb "cold ifetch costs" true (c1 > 0.0);
+  check "cold exec misses every line" n (misses ());
   Machine.exec m region;
-  checkf "warm ifetch free" c1 (Machine.cycles m)
+  checkf "warm ifetch free" c1 (Machine.cycles m);
+  check "warm re-exec counts every line" (2 * n) (fetches ());
+  check "warm re-exec misses none" n (misses ());
+  Machine.flush_caches m;
+  Machine.exec m region;
+  check "exec after a flush misses every line again" (2 * n) (misses ());
+  (* 256 bytes on, the next region maps onto the first two lines' sets. *)
+  ignore (Code.alloc code ~len:(256 - 64));
+  let alias = Code.alloc code ~len:32 in
+  check "aliasing base" (region.Code.base + 256) alias.Code.base;
+  Machine.exec m alias;
+  Machine.exec m region;
+  check "evicted lines miss again, the others hit" ((2 * n) + 2 + 2) (misses ());
+  check "every line counted" ((4 * n) + 2) (fetches ())
+
+let test_machine_exec_zero_alloc () =
+  List.iter
+    (fun (cfg : Config.t) ->
+      let m = Machine.create cfg in
+      let code = Code.allocator () in
+      let hot = Code.alloc code ~len:3072 in
+      (* Larger than either L1I: under LRU every line misses every time. *)
+      let big = Code.alloc code ~len:(32 * 1024) in
+      let per_call what region =
+        Machine.exec m region;
+        let n = 1_000 in
+        let misses0 = Stats.misses (Machine.stats m) Stats.Ifetch ~level:1 in
+        let w0 = Gc.minor_words () in
+        for _ = 1 to n do
+          Machine.exec m region
+        done;
+        let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+        let missed = Stats.misses (Machine.stats m) Stats.Ifetch ~level:1 - misses0 in
+        checkb
+          (Printf.sprintf "%s: %s exec allocates (%.4f words/call)" cfg.Config.name what
+             per_call)
+          true (per_call <= 0.01);
+        missed
+      in
+      check (cfg.Config.name ^ ": warm exec misses nothing") 0 (per_call "warm" hot);
+      let lines = 32 * 1024 / cfg.Config.l1i.Cache.line in
+      check (cfg.Config.name ^ ": oversized exec misses every line") (1_000 * lines)
+        (per_call "missing" big))
+    [ Config.ss10_30; Config.axp3000_800 ]
 
 let test_machine_compute_scale () =
   let m = Machine.create (Config.custom ~compute_scale:2.0 ()) in
@@ -433,7 +481,7 @@ let print_op = function
   | Load (a, s) -> Printf.sprintf "load %d/%d" a s
   | Store (a, s) -> Printf.sprintf "store %d/%d" a s
 
-let gen_oracle_case =
+let gen_data_op =
   let open QCheck.Gen in
   let near =
     map3
@@ -454,13 +502,12 @@ let gen_oracle_case =
     Copy { src; dst; len; unit_len }
   in
   let single f = map2 f near unit in
-  pair
-    (int_bound (Array.length oracle_machines - 1))
-    (list_size (int_range 1 10)
-       (frequency
-          [ (3, copy);
-            (1, single (fun a s -> Load (a, s)));
-            (1, single (fun a s -> Store (a, s))) ]))
+  frequency
+    [ (3, copy); (1, single (fun a s -> Load (a, s))); (1, single (fun a s -> Store (a, s))) ]
+
+let gen_oracle_case =
+  QCheck.Gen.(
+    pair (int_bound (Array.length oracle_machines - 1)) (list_size (int_range 1 10) gen_data_op))
 
 let arb_oracle_case =
   QCheck.make gen_oracle_case ~print:(fun (mi, ops) ->
@@ -514,34 +561,179 @@ let lru_probe sim ops =
       | Load _ | Store _ -> ())
     ops
 
+(* An oracle machine and a subject machine with identical memory. *)
+let oracle_pair cfg =
+  let oracle = Sim.create ~mem_size:oracle_mem_size cfg in
+  let subject = Sim.create ~mem_size:oracle_mem_size cfg in
+  let fill =
+    Bytes.init oracle_mem_size (fun i -> Char.chr (((i * 7) + (i lsr 8)) land 0xff))
+  in
+  Mem.poke_bytes oracle.Sim.mem ~pos:0 fill;
+  Mem.poke_bytes subject.Sim.mem ~pos:0 fill;
+  (oracle, subject)
+
+let apply_data_op oracle subject = function
+  | Copy { src; dst; len; unit_len } ->
+      oracle_blit oracle ~src ~dst ~len ~unit_len;
+      Mem.blit subject.Sim.mem ~src ~dst ~len ~unit_len
+  | Load (addr, size) ->
+      Machine.read oracle.Sim.machine ~addr ~size;
+      Machine.read subject.Sim.machine ~addr ~size
+  | Store (addr, size) ->
+      Machine.write oracle.Sim.machine ~addr ~size;
+      Machine.write subject.Sim.machine ~addr ~size
+
 let prop_blit_bit_exact =
   QCheck.Test.make ~count:150 ~name:"blit charges bit-exactly as the per-unit loop"
     arb_oracle_case (fun (mi, ops) ->
-      let cfg = oracle_machines.(mi) in
-      let oracle = Sim.create ~mem_size:oracle_mem_size cfg in
-      let subject = Sim.create ~mem_size:oracle_mem_size cfg in
-      let fill =
-        Bytes.init oracle_mem_size (fun i -> Char.chr (((i * 7) + (i lsr 8)) land 0xff))
-      in
-      Mem.poke_bytes oracle.Sim.mem ~pos:0 fill;
-      Mem.poke_bytes subject.Sim.mem ~pos:0 fill;
+      let oracle, subject = oracle_pair oracle_machines.(mi) in
       List.iteri
         (fun i op ->
-          (match op with
-          | Copy { src; dst; len; unit_len } ->
-              oracle_blit oracle ~src ~dst ~len ~unit_len;
-              Mem.blit subject.Sim.mem ~src ~dst ~len ~unit_len
-          | Load (addr, size) ->
-              Machine.read oracle.Sim.machine ~addr ~size;
-              Machine.read subject.Sim.machine ~addr ~size
-          | Store (addr, size) ->
-              Machine.write oracle.Sim.machine ~addr ~size;
-              Machine.write subject.Sim.machine ~addr ~size);
+          apply_data_op oracle subject op;
           same_state (Printf.sprintf "after op %d (%s)" i (print_op op)) oracle subject)
         ops;
       lru_probe oracle ops;
       lru_probe subject ops;
       same_state "after the LRU probe" oracle subject;
+      true)
+
+(* [Machine.exec] settles lines through its per-region memo; it must
+   match, bit for bit, the per-line loop kept here as the oracle. *)
+
+let oracle_exec m (region : Code.region) =
+  if region.Code.len > 0 then begin
+    let line = (Machine.config m).Config.l1i.Cache.line in
+    let first = region.Code.base land lnot (line - 1) in
+    let last = (region.Code.base + region.Code.len - 1) land lnot (line - 1) in
+    for j = 0 to (last - first) / line do
+      Machine.fetch_line m ~addr:(first + (j * line))
+    done
+  end
+
+(* Where a code region goes: [After pad] skips [pad] bytes past the
+   previous region; [Aliased] starts it at the next multiple of 8192 bytes
+   from the previous region's base, which is the same set of every
+   modelled L1I (8 KB direct-mapped, 20 KB 5-way, 256 B direct-mapped). *)
+type placement = After of int | Aliased
+
+(* Regions from two allocators.  Both first regions sit at the
+   allocators' common base; the second allocator's takes the first
+   allocator's length when [same_first]. *)
+type code_layout = {
+  a : (placement * int) list;
+  b : (placement * int) list;
+  same_first : bool;
+}
+
+let alias_period = 8192
+
+let place_regions specs =
+  let code = Code.allocator () in
+  let prev = ref None in
+  List.map
+    (fun (placement, len) ->
+      (match (placement, !prev) with
+      | _, None | After 0, _ -> ()
+      | After pad, Some _ -> ignore (Code.alloc code ~len:pad)
+      | Aliased, Some (r : Code.region) ->
+          let next = (r.Code.base + r.Code.len + 63) land lnot 63 in
+          let target =
+            r.Code.base
+            + ((next - r.Code.base + alias_period - 1) / alias_period * alias_period)
+          in
+          if target > next then ignore (Code.alloc code ~len:(target - next)));
+      let r = Code.alloc code ~len in
+      prev := Some r;
+      r)
+    specs
+
+let build_regions l =
+  let b =
+    match (l.same_first, l.a, l.b) with
+    | true, (_, len) :: _, (p, _) :: rest -> (p, len) :: rest
+    | _ -> l.b
+  in
+  Array.of_list (place_regions l.a @ place_regions b)
+
+type exec_op = Exec of int | Flush | Reset | Data of oracle_op
+
+let print_exec_op regions = function
+  | Exec k ->
+      let r = regions.(k mod Array.length regions) in
+      Printf.sprintf "exec %#x+%d" r.Code.base r.Code.len
+  | Flush -> "flush"
+  | Reset -> "reset"
+  | Data op -> print_op op
+
+let gen_exec_case =
+  let open QCheck.Gen in
+  let len =
+    frequency [ (3, int_bound 512); (2, int_bound 4096); (1, int_bound 65536) ]
+  in
+  let placement =
+    frequency
+      [ (2, return (After 0)); (1, map (fun k -> After (64 * k)) (int_bound 128));
+        (2, return Aliased) ]
+  in
+  let specs n = list_size (int_range 1 n) (pair placement len) in
+  let layout =
+    map3 (fun a b same_first -> { a; b; same_first }) (specs 8) (specs 3) bool
+  in
+  let op =
+    frequency
+      [ (6, map (fun k -> Exec k) (int_bound 63)); (1, return Flush); (1, return Reset);
+        (3, map (fun d -> Data d) gen_data_op) ]
+  in
+  triple (int_bound (Array.length oracle_machines - 1)) layout
+    (list_size (int_range 1 25) op)
+
+let arb_exec_case =
+  QCheck.make gen_exec_case ~print:(fun (mi, layout, ops) ->
+      let regions = build_regions layout in
+      Printf.sprintf "%s: regions %s; ops %s" oracle_machines.(mi).Config.name
+        (String.concat " "
+           (Array.to_list
+              (Array.map
+                 (fun (r : Code.region) -> Printf.sprintf "%#x+%d" r.Code.base r.Code.len)
+                 regions)))
+        (String.concat "; " (List.map (print_exec_op regions) ops)))
+
+let prop_exec_bit_exact =
+  QCheck.Test.make ~count:150 ~name:"exec charges bit-exactly as the per-line loop"
+    arb_exec_case (fun (mi, layout, ops) ->
+      let regions = build_regions layout in
+      let oracle, subject = oracle_pair oracle_machines.(mi) in
+      let both f =
+        f oracle.Sim.machine;
+        f subject.Sim.machine
+      in
+      let exec r =
+        oracle_exec oracle.Sim.machine r;
+        Machine.exec subject.Sim.machine r
+      in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Exec k -> exec regions.(k mod Array.length regions)
+          | Flush -> both Machine.flush_caches
+          | Reset -> both Machine.reset_counters
+          | Data d -> apply_data_op oracle subject d);
+          same_state
+            (Printf.sprintf "after op %d (%s)" i (print_exec_op regions op))
+            oracle subject)
+        ops;
+      (* I-cache LRU probe: the regions alias one another, so which lines
+         survive a pass depends on the ages the ops above left. *)
+      Array.iter exec regions;
+      for k = Array.length regions - 1 downto 0 do
+        exec regions.(k)
+      done;
+      Array.iter exec regions;
+      same_state "after the I-cache LRU probe" oracle subject;
+      let data = List.filter_map (function Data d -> Some d | _ -> None) ops in
+      lru_probe oracle data;
+      lru_probe subject data;
+      same_state "after the data LRU probe" oracle subject;
       true)
 
 let prop_mem_u32_roundtrip =
@@ -615,6 +807,8 @@ let () =
         [ Alcotest.test_case "read miss costs" `Quick test_machine_read_miss_costs;
           Alcotest.test_case "straddling access" `Quick test_machine_straddling_access;
           Alcotest.test_case "warm ifetch" `Quick test_machine_exec_warm;
+          Alcotest.test_case "exec allocates nothing" `Quick test_machine_exec_zero_alloc;
+          qc prop_exec_bit_exact;
           Alcotest.test_case "compute scale" `Quick test_machine_compute_scale;
           Alcotest.test_case "charge micros" `Quick test_machine_charge_micros;
           Alcotest.test_case "reset keeps caches" `Quick test_machine_reset;

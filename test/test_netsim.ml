@@ -403,6 +403,35 @@ let test_ipv4_length_validation () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing garbage accepted"
 
+let to_hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let test_ipv4_frame_and_validate () =
+  let payload = "a tcp segment, say" in
+  let buf = Bytes.of_string ("head" ^ payload ^ "tail") in
+  let len = String.length payload in
+  let ip = Ipv4.make ~ident:77 ~src:Ipv4.loopback ~dst:Ipv4.loopback ~payload_len:len () in
+  let wire = Ipv4.frame ip buf ~pos:4 ~len in
+  Alcotest.(check string) "frame = encapsulate" (Ipv4.encapsulate ip payload) wire;
+  (* RFC 791 layout: 0x45, length 38, ident 77, DF, TTL 64, TCP,
+     checksum, 127.0.0.1 twice. *)
+  Alcotest.(check string) "header bytes" "45000026004d400040063c837f0000017f000001"
+    (to_hex (String.sub wire 0 Ipv4.header_len));
+  (match Ipv4.validate wire with
+  | Ok got -> check "ident" 77 got.Ipv4.ident
+  | Error e -> Alcotest.fail e);
+  let damaged = Bytes.of_string wire in
+  Bytes.set damaged 8 '\x3f';
+  List.iter
+    (fun bad ->
+      match (Ipv4.validate bad, Ipv4.decapsulate bad) with
+      | Error a, Error b -> Alcotest.(check string) "same error" b a
+      | _ -> Alcotest.fail "bad datagram accepted")
+    [ "short"; wire ^ "x"; Bytes.to_string damaged ];
+  Alcotest.check_raises "length mismatch"
+    (Invalid_argument "Ipv4.frame: total_len disagrees with payload") (fun () ->
+      ignore (Ipv4.frame ip buf ~pos:0 ~len:(len + 1)))
+
 (* ------------------------------------------------------------------ *)
 (* Datagram and Demux *)
 
@@ -626,7 +655,8 @@ let () =
         [ Alcotest.test_case "round trip" `Quick test_ipv4_roundtrip;
           Alcotest.test_case "checksum detects damage" `Quick
             test_ipv4_header_checksum_detects_damage;
-          Alcotest.test_case "length validation" `Quick test_ipv4_length_validation ] );
+          Alcotest.test_case "length validation" `Quick test_ipv4_length_validation;
+          Alcotest.test_case "frame and validate" `Quick test_ipv4_frame_and_validate ] );
       ( "demux",
         [ Alcotest.test_case "datagram validation" `Quick test_datagram_validation;
           Alcotest.test_case "routing" `Quick test_demux_routing;
