@@ -1,7 +1,6 @@
 open Ilp_memsim
 module Simclock = Ilp_netsim.Simclock
 module Link = Ilp_netsim.Link
-module Demux = Ilp_netsim.Demux
 module Socket = Ilp_tcp.Socket
 module Engine = Ilp_core.Engine
 module Rpc_server = Ilp_rpc.Server
@@ -111,75 +110,42 @@ let mean a =
   if Array.length a = 0 then 0.0
   else Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
 
-(* Ports of the four endpoints. *)
-let srv_ctrl_port = 5000
-let cli_ctrl_port = 5001
-let srv_data_port = 5002
-let cli_data_port = 5003
-
 let run setup =
   let sim = Sim.create setup.machine in
   let machine = sim.Sim.machine in
   let clock = Simclock.create () in
-  let demux = Demux.create () in
-  let link = ref None in
-  let wire_out d = Link.send (Option.get !link) d in
-  link :=
-    Some
-      (Link.create clock ~delay_us:50.0 ~loss_rate:setup.loss_rate
-         ~seed:setup.seed ?impairments:setup.impairments
-         ~deliver:(Demux.deliver demux) ());
+  let st =
+    Stack.create sim clock ~seed:setup.seed
+      (match setup.impairments with
+      | Some imp -> imp
+      | None -> { Link.fault_free with loss_rate = setup.loss_rate })
+  in
   (* Shared machine, one engine (and one cipher instance) per process. *)
   let srv_cipher = make_cipher sim setup.cipher in
   let cli_cipher = make_cipher sim setup.cipher in
   let max_message = 2048 in
-  let backend () =
-    if setup.native then Engine.Native (make_fastpath_cipher setup.cipher)
-    else Engine.Simulated
+  (* Both engines draw on one buffer pool — the world's, or the caller's
+     [setup.pool] — so staging and TSDU buffers recirculate instead of
+     being allocated per message. *)
+  let engine cipher =
+    Stack.engine st (fun pool ->
+        Engine.create sim ~cipher ~mode:setup.mode
+          ~backend:
+            (if setup.native then Engine.Native (make_fastpath_cipher setup.cipher)
+             else Engine.Simulated)
+          ~linkage:setup.linkage
+          ~max_message ~coalesce_writes:setup.coalesce_writes
+          ~header_style:setup.header_style ~rx_placement:setup.rx_placement
+          ~uniform_units:setup.uniform_units ~crc32:setup.crc
+          ~pool:(Option.value setup.pool ~default:pool) ())
   in
-  (* One buffer pool shared by both endpoints of the run: staging buffers
-     and TSDU buffers recirculate instead of being allocated per message,
-     and a single outstanding-count audits the whole process. *)
-  let pool =
-    match setup.pool with Some p -> p | None -> Ilp_fastpath.Pool.create ()
-  in
-  let srv_engine =
-    Engine.create sim ~cipher:srv_cipher ~mode:setup.mode ~backend:(backend ())
-      ~linkage:setup.linkage
-      ~max_message ~coalesce_writes:setup.coalesce_writes
-      ~header_style:setup.header_style ~rx_placement:setup.rx_placement
-      ~uniform_units:setup.uniform_units ~crc32:setup.crc ~pool ()
-  in
-  let cli_engine =
-    Engine.create sim ~cipher:cli_cipher ~mode:setup.mode ~backend:(backend ())
-      ~linkage:setup.linkage
-      ~max_message ~coalesce_writes:setup.coalesce_writes
-      ~header_style:setup.header_style ~rx_placement:setup.rx_placement
-      ~uniform_units:setup.uniform_units ~crc32:setup.crc ~pool ()
-  in
-  (* Teardown: return staging buffers, then audit pool balance.  With a
-     caller-shared pool the count includes the caller's own outstanding
-     buffers, so pass [pool = None] (the default) for a self-contained
-     audit. *)
-  let pool_leaks () =
-    Engine.destroy srv_engine;
-    Engine.destroy cli_engine;
-    Ilp_fastpath.Pool.outstanding pool
-  in
+  let srv_engine = engine srv_cipher in
+  let cli_engine = engine cli_cipher in
   let mss =
     match setup.mss with None -> max_message | Some m -> min m max_message
   in
   let scfg = { Socket.default_config with mss } in
-  let srv_ctrl = Socket.create sim clock scfg ~local_port:srv_ctrl_port ~wire_out in
-  let cli_ctrl = Socket.create sim clock scfg ~local_port:cli_ctrl_port ~wire_out in
-  let srv_data = Socket.create sim clock scfg ~local_port:srv_data_port ~wire_out in
-  let cli_data = Socket.create sim clock scfg ~local_port:cli_data_port ~wire_out in
   let server = Rpc_server.create ~clock ~engine:srv_engine () in
-  ignore (Rpc_server.attach server ~ctrl:srv_ctrl ~data:srv_data);
-  let client =
-    Rpc_client.create ~clock ~engine:cli_engine ~framed:setup.framing
-      ~ctrl:cli_ctrl ~data:cli_data ()
-  in
   (* Measurement buckets. *)
   let send_us = ref [] and send_syscopy_us = ref [] and recv_us = ref [] in
   let send_stall = ref 0.0 and recv_stall = ref 0.0 in
@@ -194,99 +160,101 @@ let run setup =
     snapshot := Stats.copy (Machine.stats machine);
     stall_mark := Machine.stall_micros machine
   in
-  let settle bucket =
-    Stats.accumulate ~into:bucket
-      (Stats.diff (Machine.stats machine) !snapshot)
+  let settle bucket stall =
+    Stats.accumulate ~into:bucket (Stats.diff (Machine.stats machine) !snapshot);
+    stall := !stall +. (Machine.stall_micros machine -. !stall_mark)
   in
-  let settle_stall cell = cell := !cell +. (Machine.stall_micros machine -. !stall_mark) in
   Rpc_server.set_reply_probe server ~before:mark
     ~after:(fun ~wire_len ~elapsed_us ~syscopy_us ->
-      settle send_stats;
-      settle_stall send_stall;
+      settle send_stats send_stall;
       wire_bytes := !wire_bytes + wire_len;
       send_us := elapsed_us :: !send_us;
       send_syscopy_us := syscopy_us :: !send_syscopy_us);
-  (* Demux wiring; the client data port is wrapped to time the receive
-     path of each delivered reply, the server data port (acks) accounts to
-     the send side. *)
-  Demux.bind demux ~port:srv_ctrl_port (Socket.handle_datagram srv_ctrl);
-  Demux.bind demux ~port:cli_ctrl_port (Socket.handle_datagram cli_ctrl);
-  Demux.bind demux ~port:srv_data_port (fun d ->
-      mark ();
-      Socket.handle_datagram srv_data d;
-      settle send_stats;
-      settle_stall send_stall);
-  Demux.bind demux ~port:cli_data_port (fun d ->
-      let delivered = (Socket.stats cli_data).Socket.bytes_delivered in
-      let before = Machine.micros machine in
-      mark ();
-      Socket.handle_datagram cli_data d;
-      settle recv_stats;
-      settle_stall recv_stall;
-      if (Socket.stats cli_data).Socket.bytes_delivered > delivered then
-        recv_us := (Machine.micros machine -. before) :: !recv_us);
+  (* The client data port is wrapped to time the receive path of each
+     delivered reply, the server data port (acks) accounts to the send
+     side. *)
+  let handler role s =
+    match role with
+    | Stack.Srv_data ->
+        fun d ->
+          mark ();
+          Socket.handle_datagram s d;
+          settle send_stats send_stall
+    | Stack.Cli_data ->
+        fun d ->
+          let delivered = (Socket.stats s).Socket.bytes_delivered in
+          let before = Machine.micros machine in
+          mark ();
+          Socket.handle_datagram s d;
+          settle recv_stats recv_stall;
+          if (Socket.stats s).Socket.bytes_delivered > delivered then
+            recv_us := (Machine.micros machine -. before) :: !recv_us
+    | Stack.Srv_ctrl | Stack.Cli_ctrl -> Socket.handle_datagram s
+  in
+  (* Connection setup (not measured). *)
+  let conn = Stack.rpc ~handler st server ~base:5000 ~ctrl:scfg ~data:scfg in
+  let client =
+    Rpc_client.create ~clock ~engine:cli_engine ~framed:setup.framing
+      ~ctrl:conn.Stack.cli_ctrl ~data:conn.Stack.cli_data ()
+  in
   let file_contents = Workload.generate ~len:setup.file_len ~seed:setup.seed in
   let file_addr = Workload.install sim file_contents in
   Rpc_server.add_file server ~name:"paper.dat" ~addr:file_addr ~len:setup.file_len;
-  (* Connection setup (not measured). *)
-  Socket.listen srv_ctrl;
-  Socket.listen cli_data;
-  Socket.connect cli_ctrl ~remote_port:srv_ctrl_port;
-  Socket.connect srv_data ~remote_port:cli_data_port;
   Simclock.run_until_idle clock;
-  let all_sockets = [ srv_ctrl; cli_ctrl; srv_data; cli_data ] in
-  let drops () =
-    List.map
-      (fun r ->
-        (r, List.fold_left (fun acc s -> acc + Socket.drop_count s r) 0 all_sockets))
-      Socket.drop_reasons
-  in
+  let sockets = Stack.sockets conn in
   let client_failure () =
     Option.map Rpc_client.failure_to_string (Rpc_client.failure client)
   in
-  let socket_failures () =
-    List.filter_map
-      (fun (name, s) ->
-        Option.map
-          (fun r -> name ^ " " ^ Socket.abort_reason_to_string r)
-          (Socket.failure s))
-      [ ("srv_ctrl", srv_ctrl); ("cli_ctrl", cli_ctrl); ("srv_data", srv_data);
-        ("cli_data", cli_data) ]
-  in
-  let early_failure error =
-    { ok = false;
-      error = Some error;
-      n_replies = 0;
-      payload_bytes = 0;
-      wire_bytes = 0;
-      send_us = [||];
-      send_syscopy_us = [||];
-      recv_us = [||];
-      send_stall_us = 0.0;
-      recv_stall_us = 0.0;
-      ifetch_stall_us = 0.0;
-      total_machine_us = 0.0;
+  (* A run that failed before the transfer started ([measured] false)
+     reports no machine time, stalls or retransmissions: those would only
+     count the handshake. *)
+  let result ~measured error =
+    let if_measured x = if measured then x else 0.0 in
+    let srv = Socket.stats conn.Stack.srv_data in
+    let cli = Socket.stats conn.Stack.cli_data in
+    { ok = error = None;
+      error;
+      n_replies = Rpc_client.replies_received client;
+      payload_bytes = Rpc_client.bytes_received client;
+      wire_bytes = !wire_bytes;
+      send_us = Array.of_list (List.rev !send_us);
+      send_syscopy_us = Array.of_list (List.rev !send_syscopy_us);
+      recv_us = Array.of_list (List.rev !recv_us);
+      send_stall_us = if_measured !send_stall;
+      recv_stall_us = if_measured !recv_stall;
+      ifetch_stall_us =
+        if_measured
+          (Machine.ifetch_stall_cycles machine /. setup.machine.Config.clock_mhz);
+      total_machine_us = if_measured (Machine.micros machine);
       send_stats;
       recv_stats;
       total_stats = Stats.copy (Machine.stats machine);
-      retransmissions = 0;
-      checksum_failures = 0;
+      retransmissions = (if measured then srv.Socket.retransmissions else 0);
+      checksum_failures = (if measured then cli.Socket.checksum_failures else 0);
       client_failure = client_failure ();
-      drops = drops ();
+      drops =
+        List.map
+          (fun r ->
+            (r, List.fold_left (fun n s -> n + Socket.drop_count s r) 0 sockets))
+          Socket.drop_reasons;
       replies_abandoned = Rpc_server.replies_abandoned server;
-      link_stats = Link.stats (Option.get !link);
-      pool_leaks = pool_leaks () }
+      link_stats = Link.stats (Stack.link st);
+      pool_leaks = Stack.teardown st }
   in
-  let established s = Socket.state s = Socket.Established in
-  if
-    not
-      (established srv_ctrl && established cli_ctrl && established srv_data
-      && established cli_data)
-  then
-    early_failure
-      (match socket_failures () with
-      | [] -> "connection setup failed"
-      | fs -> "connection setup failed: " ^ String.concat "; " fs)
+  if not (List.for_all (fun s -> Socket.state s = Socket.Established) sockets) then
+    let failures =
+      List.filter_map
+        (fun (name, s) ->
+          Option.map
+            (fun r -> name ^ " " ^ Socket.abort_reason_to_string r)
+            (Socket.failure s))
+        (List.combine [ "srv_ctrl"; "cli_ctrl"; "srv_data"; "cli_data" ] sockets)
+    in
+    result ~measured:false
+      (Some
+         (match failures with
+         | [] -> "connection setup failed"
+         | fs -> "connection setup failed: " ^ String.concat "; " fs))
   else begin
     (* Exclude setup from the measurement; keep the caches warm as in the
        repeated transfers of the paper. *)
@@ -296,7 +264,7 @@ let run setup =
       Rpc_client.request_file client ~name:"paper.dat" ~copies:setup.copies
         ~max_reply:setup.max_reply ~expected:file_contents
     with
-    | Error _ -> early_failure "request refused by TCP"
+    | Error _ -> result ~measured:false (Some "request refused by TCP")
     | Ok () ->
     (* Drive the world until the transfer completes or stalls. *)
     let deadline = setup.deadline_us in
@@ -312,43 +280,13 @@ let run setup =
       end
     in
     pump 2_000_000;
-    let total_machine_us = Machine.micros machine in
-    let total_stats = Stats.copy (Machine.stats machine) in
-    let srv_stats = Socket.stats srv_data in
-    let cli_stats = Socket.stats cli_data in
-    let ok = Rpc_client.transfer_complete client in
-    let error =
-      if ok then None
-      else
-        match client_failure () with
-        | Some f -> Some f
-        | None ->
-            Some
-              (Printf.sprintf "incomplete transfer: %d / %d bytes"
-                 (Rpc_client.bytes_received client)
-                 (setup.file_len * setup.copies))
-    in
-    { ok;
-      error;
-      n_replies = Rpc_client.replies_received client;
-      payload_bytes = Rpc_client.bytes_received client;
-      wire_bytes = !wire_bytes;
-      send_us = Array.of_list (List.rev !send_us);
-      send_syscopy_us = Array.of_list (List.rev !send_syscopy_us);
-      recv_us = Array.of_list (List.rev !recv_us);
-      send_stall_us = !send_stall;
-      recv_stall_us = !recv_stall;
-      ifetch_stall_us =
-        Machine.ifetch_stall_cycles machine /. setup.machine.Config.clock_mhz;
-      total_machine_us;
-      send_stats;
-      recv_stats;
-      total_stats;
-      retransmissions = srv_stats.Socket.retransmissions;
-      checksum_failures = cli_stats.Socket.checksum_failures;
-      client_failure = client_failure ();
-      drops = drops ();
-      replies_abandoned = Rpc_server.replies_abandoned server;
-      link_stats = Link.stats (Option.get !link);
-      pool_leaks = pool_leaks () }
+    result ~measured:true
+      (if Rpc_client.transfer_complete client then None
+       else
+         Some
+           (Option.value (client_failure ())
+              ~default:
+                (Printf.sprintf "incomplete transfer: %d / %d bytes"
+                   (Rpc_client.bytes_received client)
+                   (setup.file_len * setup.copies))))
   end

@@ -1,6 +1,5 @@
 module Link = Ilp_netsim.Link
 module Simclock = Ilp_netsim.Simclock
-module Demux = Ilp_netsim.Demux
 module Crashplan = Ilp_netsim.Crashplan
 module Datagram = Ilp_netsim.Datagram
 module Ipv4 = Ilp_netsim.Ipv4
@@ -310,6 +309,17 @@ type overload_client = {
   mutable local_refused : bool;
 }
 
+(* A client's typed outcome, rendered; [None] when it holds none. *)
+let typed_outcome client ~local_refused =
+  match Rpc_client.failure client with
+  | Some f -> Some ("typed: " ^ Rpc_client.failure_to_string f)
+  | None ->
+      if Rpc_client.rejected client then Some "typed: rejected"
+      else if local_refused then Some "typed: local refusal"
+      else if Rpc_client.errors client <> [] then
+        Some ("typed: " ^ String.concat "; " (Rpc_client.errors client))
+      else None
+
 let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
   if cfg.clients < 1 then invalid_arg "Soak.run_overload: clients must be >= 1";
   if cfg.file_len < 64 then invalid_arg "Soak.run_overload: file_len must be >= 64";
@@ -349,17 +359,9 @@ let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
   match
     let sim = Sim.create cfg.machine in
     let clock = Simclock.create () in
-    let demux = Demux.create () in
-    let link = ref None in
-    let wire_out d = Link.send (Option.get !link) d in
     (* The lying receivers' data ports (their acks travel cli_data ->
-       srv_data); the port plan below assigns 4 consecutive ports per
-       client starting at 1000, cli_data being the fourth. *)
+       srv_data), registered as each connection is built. *)
     let liar_ports = Hashtbl.create 4 in
-    for i = 0 to cfg.clients - 1 do
-      if persona_pattern.(i mod Array.length persona_pattern) = Lying_receiver
-      then Hashtbl.replace liar_ports (1000 + (4 * i) + 3) ()
-    done;
     (* A lying receiver's NIC: every pure ack it emits gains a SACK block
        claiming data the server never sent, and goes out twice (dupack
        forgery).  Runs before the wire, so the forged bytes carry a valid
@@ -408,23 +410,17 @@ let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
                   [ forged; forged ]
                 end)
     in
-    link :=
-      Some
-        (Link.create clock ~delay_us:30.0 ~seed:cfg.seed ~tamper:forge_ack
-           ~deliver:(Demux.deliver demux) ());
+    let st =
+      Stack.create ~tamper:forge_ack sim clock ~seed:cfg.seed
+        { Link.fault_free with delay_us = 30.0 }
+    in
     let key = "soakOVRL" in
-    (* One pool shared by the server and every client engine, and a list
-       of all engines so teardown can audit pool balance for the run. *)
-    let pool = Ilp_fastpath.Pool.create () in
-    let engines = ref [] in
+    (* One pool shared by the server and every client engine. *)
     let engine () =
-      let e =
-        Engine.create sim
-          ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ())
-          ~mode:Engine.Ilp ~crc32:true ~pool ()
-      in
-      engines := e :: !engines;
-      e
+      Stack.engine st (fun pool ->
+          Engine.create sim
+            ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ())
+            ~mode:Engine.Ilp ~crc32:true ~pool ())
     in
     (* Small buffers so the reply queue holds real bytes (the budgets
        bind); a stall deadline short enough to detect dead readers within
@@ -450,14 +446,8 @@ let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
         max_backoff_us = 30_000.0;
         deadline_us = 5_000_000.0 }
     in
-    let mk ?(sock = cfg_sock) port =
-      let s = Socket.create sim clock sock ~local_port:port ~wire_out in
-      Demux.bind demux ~port (Socket.handle_datagram s);
-      s
-    in
     let world =
       List.init cfg.clients (fun i ->
-          let base = 1000 + (4 * i) in
           let persona = persona_pattern.(i mod Array.length persona_pattern) in
           (* Streaming clients force segment streaming: the data MSS is
              well below one reply's wire length, so the server's replies
@@ -469,21 +459,17 @@ let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
             | Shrinking_window | Lying_receiver ->
                 cfg_sock
           in
-          let srv_ctrl = mk base and cli_ctrl = mk (base + 1) in
-          let srv_data = mk ~sock:data_sock (base + 2)
-          and cli_data = mk ~sock:data_sock (base + 3) in
-          ignore (Rpc_server.attach server ~ctrl:srv_ctrl ~data:srv_data);
+          let { Stack.cli_ctrl; cli_data; srv_data; _ } =
+            Stack.rpc st server ~base:(1000 + (4 * i)) ~ctrl:cfg_sock
+              ~data:data_sock
+          in
           (* Slow and dead readers advertise a zero receive window from
              the start; slow ones reopen later, dead ones never do. *)
           (match persona with
           | Slow_reader | Dead_reader -> Socket.set_advertised_window cli_data 0
-          | Honest | Oversized | Streaming | Shrinking_window
           | Lying_receiver ->
-              ());
-          Socket.listen srv_ctrl;
-          Socket.listen cli_data;
-          Socket.connect cli_ctrl ~remote_port:base;
-          Socket.connect srv_data ~remote_port:(base + 3);
+              Hashtbl.replace liar_ports (Socket.local_port cli_data) ()
+          | Honest | Oversized | Streaming | Shrinking_window -> ());
           (* Streaming personas also negotiate the v2 framed receive, so
              the overload soak drives final-placement reassembly through
              small-MSS pipelining, forged feedback and window games. *)
@@ -539,11 +525,8 @@ let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
         | Honest | Dead_reader | Oversized | Streaming | Lying_receiver -> ())
       world;
     let settled c =
-      c.local_refused
-      || Rpc_client.transfer_complete c.client
-      || Rpc_client.rejected c.client
-      || Rpc_client.failure c.client <> None
-      || Rpc_client.errors c.client <> []
+      Rpc_client.transfer_complete c.client
+      || typed_outcome c.client ~local_refused:c.local_refused <> None
       || Socket.failure c.srv_data <> None
     in
     let guard = ref 400_000 in
@@ -566,36 +549,25 @@ let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
           Rpc_client.transfer_complete c.client
           && Rpc_client.errors c.client = []
         in
-        let client_typed =
-          c.local_refused
-          || Rpc_client.rejected c.client
-          || Rpc_client.failure c.client <> None
-          || Rpc_client.errors c.client <> []
-        in
-        let server_typed = Socket.failure c.srv_data <> None in
         let verdict =
           if complete then begin
             incr completed;
             "completed byte-exact"
           end
-          else if client_typed || server_typed then begin
-            incr typed;
-            if client_typed then
-              match Rpc_client.failure c.client with
-              | Some f -> "typed: " ^ Rpc_client.failure_to_string f
-              | None ->
-                  if Rpc_client.rejected c.client then "typed: rejected"
-                  else if c.local_refused then "typed: local refusal"
-                  else "typed: " ^ String.concat "; " (Rpc_client.errors c.client)
-            else
-              "typed (server side): "
-              ^ Socket.abort_reason_to_string
-                  (Option.get (Socket.failure c.srv_data))
-          end
-          else begin
-            incr silent;
-            "SILENT: neither complete nor typed"
-          end
+          else
+            match
+              (typed_outcome c.client ~local_refused:c.local_refused,
+               Socket.failure c.srv_data)
+            with
+            | Some v, _ ->
+                incr typed;
+                v
+            | None, Some r ->
+                incr typed;
+                "typed (server side): " ^ Socket.abort_reason_to_string r
+            | None, None ->
+                incr silent;
+                "SILENT: neither complete nor typed"
         in
         if persona_must_complete c.persona && not complete then
           incr honest_incomplete;
@@ -628,7 +600,7 @@ let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
           + if Socket.failure c.srv_data = Some Socket.Peer_stalled then 1 else 0)
         0 world
     in
-    let forged_acks = (Link.stats (Option.get !link)).Link.tampered in
+    let forged_acks = (Link.stats (Stack.link st)).Link.tampered in
     (* Forged feedback must leave a trace: SACK blocks rejected by the
        server's validator, or (for optimistic-ack forgeries) a typed
        [Misbehaving_peer] abort.  Silent acceptance is the violation. *)
@@ -642,8 +614,7 @@ let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
         0 world
     in
     let peak = Rpc_server.peak_queued_bytes server in
-    List.iter Engine.destroy !engines;
-    let pool_leaks = Ilp_fastpath.Pool.outstanding pool in
+    let pool_leaks = Stack.teardown st in
     { clients = cfg.clients;
       completed = !completed;
       typed_failures = !typed;
@@ -815,23 +786,15 @@ let run_crash ?(log = fun _ -> ()) (cfg : crash_config) =
     match
       let sim = Sim.create cfg.machine in
       let clock = Simclock.create () in
-      let demux = Demux.create () in
-      let link = ref None in
-      let wire_out d = Link.send (Option.get !link) d in
-      link :=
-        Some
-          (Link.create clock ~delay_us:40.0 ~seed:(cfg.seed + i)
-             ~deliver:(Demux.deliver demux) ());
-      let pool = Ilp_fastpath.Pool.create () in
-      let engines = ref [] in
+      let st =
+        Stack.create sim clock ~seed:(cfg.seed + i)
+          { Link.fault_free with delay_us = 40.0 }
+      in
       let engine () =
-        let e =
-          Engine.create sim
-            ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key:"soakCRSH" ())
-            ~mode ~crc32:crc ~pool ()
-        in
-        engines := e :: !engines;
-        e
+        Stack.engine st (fun pool ->
+            Engine.create sim
+              ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key:"soakCRSH" ())
+              ~mode ~crc32:crc ~pool ())
       in
       let max_reply = 256 in
       let cfg_sock =
@@ -881,36 +844,32 @@ let run_crash ?(log = fun _ -> ()) (cfg : crash_config) =
           ~down_us
           ~behaviour:
             (if rst_while_down then
-               Crashplan.Respond { reply = Socket.reset_for; send = wire_out }
+               Crashplan.Respond
+                 { reply = Socket.reset_for; send = Link.send (Stack.link st) }
              else Crashplan.Blackhole)
           ~kill ~revive ()
       in
       let all_socks = ref [] in
       let gen = ref 0 in
+      let guarded role s =
+        match role with
+        | Stack.Srv_ctrl | Stack.Srv_data ->
+            Crashplan.guard plan ~deliver:(Socket.handle_datagram s)
+        | Stack.Cli_ctrl | Stack.Cli_data -> Socket.handle_datagram s
+      in
       (* Stand up one connection generation: fresh ports both sides, the
          server's two guarded by the crash plan, the pair attached to the
          current server instance. *)
       let establish () =
         let base = 1000 + (4 * !gen) in
         incr gen;
-        let mk port = Socket.create sim clock cfg_sock ~local_port:port ~wire_out in
-        let srv_ctrl = mk base and cli_ctrl = mk (base + 1) in
-        let srv_data = mk (base + 2) and cli_data = mk (base + 3) in
-        Demux.bind demux ~port:base
-          (Crashplan.guard plan ~deliver:(Socket.handle_datagram srv_ctrl));
-        Demux.bind demux ~port:(base + 2)
-          (Crashplan.guard plan ~deliver:(Socket.handle_datagram srv_data));
-        Demux.bind demux ~port:(base + 1) (Socket.handle_datagram cli_ctrl);
-        Demux.bind demux ~port:(base + 3) (Socket.handle_datagram cli_data);
-        ignore
-          (Rpc_server.attach (Option.get !server) ~ctrl:srv_ctrl ~data:srv_data);
-        srv_socks := [ srv_ctrl; srv_data ];
-        all_socks := srv_ctrl :: cli_ctrl :: srv_data :: cli_data :: !all_socks;
-        Socket.listen srv_ctrl;
-        Socket.listen cli_data;
-        Socket.connect cli_ctrl ~remote_port:base;
-        Socket.connect srv_data ~remote_port:(base + 3);
-        (cli_ctrl, cli_data)
+        let c =
+          Stack.rpc ~handler:guarded st (Option.get !server) ~base
+            ~ctrl:cfg_sock ~data:cfg_sock
+        in
+        srv_socks := [ c.Stack.srv_ctrl; c.Stack.srv_data ];
+        all_socks := Stack.sockets c @ !all_socks;
+        (c.Stack.cli_ctrl, c.Stack.cli_data)
       in
       let watch_data d =
         (* Half-open detection: a crashed-and-restarted (or still dead)
@@ -1031,12 +990,6 @@ let run_crash ?(log = fun _ -> ()) (cfg : crash_config) =
       let complete =
         Rpc_client.transfer_complete client && Rpc_client.errors client = []
       in
-      let client_typed =
-        !local_refused
-        || Rpc_client.rejected client
-        || Rpc_client.failure client <> None
-        || Rpc_client.errors client <> []
-      in
       let verdict =
         if complete then begin
           if Rpc_client.bytes_received client <> copies * cfg.file_len then begin
@@ -1052,19 +1005,14 @@ let run_crash ?(log = fun _ -> ()) (cfg : crash_config) =
             else "completed byte-exact"
           end
         end
-        else if client_typed then begin
-          incr typed;
-          match Rpc_client.failure client with
-          | Some f -> "typed: " ^ Rpc_client.failure_to_string f
+        else
+          match typed_outcome client ~local_refused:!local_refused with
+          | Some v ->
+              incr typed;
+              v
           | None ->
-              if Rpc_client.rejected client then "typed: rejected"
-              else if !local_refused then "typed: local refusal"
-              else "typed: " ^ String.concat "; " (Rpc_client.errors client)
-        end
-        else begin
-          incr silent;
-          "SILENT: neither complete nor typed past the deadline"
-        end
+              incr silent;
+              "SILENT: neither complete nor typed past the deadline"
       in
       if
         Rpc_server.executions store + Rpc_server.dedup_hits store
@@ -1092,8 +1040,7 @@ let run_crash ?(log = fun _ -> ()) (cfg : crash_config) =
           if Socket.failure s = Some Socket.Connection_reset then
             incr reset_aborts)
         !all_socks;
-      List.iter Engine.destroy !engines;
-      let leaked = Ilp_fastpath.Pool.outstanding pool in
+      let leaked = Stack.teardown st in
       if leaked <> 0 then begin
         pool_leaks := !pool_leaks + leaked;
         log (tag (Printf.sprintf "POOL LEAK: %d buffers outstanding" leaked))

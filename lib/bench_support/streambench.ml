@@ -1,6 +1,6 @@
 module Link = Ilp_netsim.Link
 module Simclock = Ilp_netsim.Simclock
-module Demux = Ilp_netsim.Demux
+module Stack = Ilp_app.Stack
 module Datagram = Ilp_netsim.Datagram
 module Socket = Ilp_tcp.Socket
 module Engine = Ilp_core.Engine
@@ -55,6 +55,7 @@ type outcome = {
   ring_wraps : int;
   final_cwnd : int;
   wire_digest : int;
+  pool_leaks : int;
 }
 
 let key = "strmBENC"
@@ -81,26 +82,25 @@ let transfer cfg =
     Sim.create ~mem_size:(cfg.total_bytes + (4 * 1024 * 1024)) cfg.machine
   in
   let clock = Simclock.create () in
-  let demux = Demux.create () in
-  let link = ref None in
   (* Rolling FNV-1a-style digest over every datagram offered to the wire
-     (ports and payload, both directions, send order).  Two transfers
+     (ports and payload, both directions, send order), taken on the
+     link's tamper hook and passed through unchanged.  Two transfers
      whose wires are byte-identical have equal digests — the SACK-off vs
      SACK-on clean-link gate. *)
   let digest = ref 0x1505 in
-  let wire_out d =
+  let fold_digest d =
     let h = ref !digest in
     let mix b = h := (!h lxor b) * 0x01000193 land 0x3FFFFFFFFFFFFFF in
     mix d.Datagram.src_port;
     mix d.Datagram.dst_port;
     String.iter (fun c -> mix (Char.code c)) d.Datagram.payload;
     digest := !h;
-    Link.send (Option.get !link) d
+    [ d ]
   in
-  link :=
-    Some
-      (Link.create clock ~delay_us:(cfg.rtt_us /. 2.0) ~loss_rate:cfg.loss_rate
-         ~seed:cfg.seed ~deliver:(Demux.deliver demux) ());
+  let st =
+    Stack.create ~tamper:fold_digest sim clock ~seed:cfg.seed
+      { Link.fault_free with delay_us = cfg.rtt_us /. 2.0; loss_rate = cfg.loss_rate }
+  in
   let backend () =
     if cfg.native then
       Engine.Native
@@ -112,9 +112,10 @@ let transfer cfg =
      the send staging and the receiver's reassembly area. *)
   let max_message = cfg.tsdu_payload + 64 in
   let mk_engine () =
-    Engine.create sim
-      ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ())
-      ~mode:Engine.Ilp ~backend:(backend ()) ~max_message ()
+    Stack.engine st (fun pool ->
+        Engine.create sim
+          ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ())
+          ~mode:Engine.Ilp ~backend:(backend ()) ~max_message ~pool ())
   in
   let tx_eng = mk_engine () and rx_eng = mk_engine () in
   let tx_cfg =
@@ -142,10 +143,8 @@ let transfer cfg =
         (match cfg.mode with Pipelined -> wide_window | Stop_and_wait -> cfg.mss)
     }
   in
-  let tx = Socket.create sim clock tx_cfg ~local_port:7001 ~wire_out in
-  let rx = Socket.create sim clock rx_cfg ~local_port:7002 ~wire_out in
-  Demux.bind demux ~port:7001 (Socket.handle_datagram tx);
-  Demux.bind demux ~port:7002 (Socket.handle_datagram rx);
+  let tx = Stack.socket st tx_cfg ~port:7001 in
+  let rx = Stack.socket st rx_cfg ~port:7002 in
   (match Engine.rx_style rx_eng with
   | Engine.Rx_integrated_style f -> Socket.set_rx_processing rx (Socket.Rx_integrated f)
   | Engine.Rx_deferred_style f -> Socket.set_rx_processing rx (Socket.Rx_separate f));
@@ -227,8 +226,7 @@ let transfer cfg =
   let elapsed = if !delivered = n then !t_done -. t0 else Simclock.now clock -. t0 in
   let final_cwnd = Socket.congestion_window tx in
   let ring_wraps = Socket.ring_wraps tx in
-  Engine.destroy tx_eng;
-  Engine.destroy rx_eng;
+  let pool_leaks = Stack.teardown st in
   { ok = !failed = None && !delivered = n;
     error = !failed;
     payload_bytes = !payload;
@@ -243,7 +241,8 @@ let transfer cfg =
     peak_in_flight = stats.Socket.peak_in_flight;
     ring_wraps;
     final_cwnd;
-    wire_digest = !digest }
+    wire_digest = !digest;
+    pool_leaks }
 
 type point = {
   p_mode : mode;
@@ -331,6 +330,9 @@ let check ?(min_ratio = 4.0) ?(min_sack_ratio = 2.0) r =
       if not p.p_out.ok then
         bad "%s: not byte-exact: %s" tag
           (Option.value p.p_out.error ~default:"unknown");
+      if p.p_out.pool_leaks <> 0 then
+        bad "%s: %d pooled buffers outstanding after teardown" tag
+          p.p_out.pool_leaks;
       (match p.p_mode with
       | Stop_and_wait ->
           if p.p_out.peak_in_flight > r.cfg.mss then

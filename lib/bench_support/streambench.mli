@@ -75,6 +75,9 @@ type outcome = {
       (** rolling digest over every datagram offered to the wire (both
           directions, send order): equal digests mean byte-identical
           wires *)
+  pool_leaks : int;
+      (** buffers still outstanding from the engines' pool after
+          teardown — 0 unless a placement buffer leaked; not serialised *)
 }
 
 (** Run one transfer.  Raises [Invalid_argument] on a malformed config
@@ -106,12 +109,12 @@ type result = {
     the default config), enabling the SACK gates in {!check}. *)
 val run : ?quick:bool -> ?sack_compare:bool -> ?config:config -> unit -> result
 
-(** The stream gates: every cell byte-exact, stop-and-wait strictly
-    serial (peak_in_flight = 1), pipelined cells actually pipelined, and
-    [gate_ratio >= min_ratio] (default 4.0).  When the run carried both
-    SACK variants (see {!run}): [sack_ratio >= min_sack_ratio] (default
-    2.0), strictly fewer RTO fallbacks with SACK on the lossy gate cell,
-    and equal [wire_digest] on the clean cell. *)
+(** The stream gates: every cell byte-exact with a balanced pool,
+    stop-and-wait strictly serial (peak_in_flight = 1), pipelined cells
+    actually pipelined, and [gate_ratio >= min_ratio] (default 4.0).
+    When the run carried both SACK variants (see {!run}): [sack_ratio >=
+    min_sack_ratio] (default 2.0), strictly fewer RTO fallbacks with SACK
+    on the lossy gate cell, and equal [wire_digest] on the clean cell. *)
 val check :
   ?min_ratio:float -> ?min_sack_ratio:float -> result ->
   (unit, string list) Stdlib.result

@@ -1,10 +1,9 @@
 type t = {
   handlers : (int, Datagram.t -> unit) Hashtbl.t;
-  mutable next_ephemeral : int;
   mutable unroutable : int;
 }
 
-let create () = { handlers = Hashtbl.create 16; next_ephemeral = 32768; unroutable = 0 }
+let create () = { handlers = Hashtbl.create 16; unroutable = 0 }
 
 let bind t ~port handler =
   if Hashtbl.mem t.handlers port then
@@ -17,13 +16,5 @@ let deliver t (dgram : Datagram.t) =
   match Hashtbl.find_opt t.handlers dgram.Datagram.dst_port with
   | Some handler -> handler dgram
   | None -> t.unroutable <- t.unroutable + 1
-
-let alloc_port t =
-  let rec go () =
-    let p = t.next_ephemeral in
-    t.next_ephemeral <- (if p >= 65535 then 32768 else p + 1);
-    if Hashtbl.mem t.handlers p then go () else p
-  in
-  go ()
 
 let unroutable t = t.unroutable

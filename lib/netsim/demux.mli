@@ -17,8 +17,5 @@ val unbind : t -> port:int -> unit
 (** [deliver t dgram] routes by destination port. *)
 val deliver : t -> Datagram.t -> unit
 
-(** [alloc_port t] returns an unused ephemeral port (>= 32768). *)
-val alloc_port : t -> int
-
 (** Datagrams dropped for lack of a bound port. *)
 val unroutable : t -> int

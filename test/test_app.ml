@@ -497,6 +497,100 @@ let test_overload_lying_receiver () =
     (o.Soak.forged_rejections > 0);
   checkb "no forgery went unpunished" false o.Soak.forgery_unpunished
 
+(* ------------------------------------------------------------------ *)
+(* The composition root *)
+
+module Stack = Ilp_app.Stack
+module Socket = Ilp_tcp.Socket
+module Server = Ilp_rpc.Server
+module Simclock = Ilp_netsim.Simclock
+
+(* A clean world with one server; [rpc base] brings a connection up. *)
+let stack_world () =
+  let sim = Sim.create Config.ss10_30 in
+  let clock = Simclock.create () in
+  let st = Stack.create sim clock ~seed:1 Ilp_netsim.Link.fault_free in
+  let engine () =
+    Stack.engine st (fun pool ->
+        Engine.create sim
+          ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key:"stackTST" ())
+          ~mode:Engine.Ilp ~pool ())
+  in
+  let server = Server.create ~clock ~engine:(engine ()) () in
+  let cfg = Socket.default_config in
+  (sim, clock, st, engine, server, fun base -> Stack.rpc st server ~base ~ctrl:cfg ~data:cfg)
+
+let test_stack_rpc_comes_up () =
+  let _, clock, _, _, server, rpc = stack_world () in
+  let c = rpc 2000 in
+  Simclock.run_until_idle clock;
+  Alcotest.(check (list int))
+    "srv_ctrl, cli_ctrl, srv_data, cli_data on base .. base + 3"
+    [ 2000; 2001; 2002; 2003 ]
+    (List.map Socket.local_port
+       [ c.Stack.srv_ctrl; c.Stack.cli_ctrl; c.Stack.srv_data; c.Stack.cli_data ]);
+  checkb "ctrl and data established" true
+    (List.for_all (fun s -> Socket.state s = Socket.Established) (Stack.sockets c));
+  check "server pair attached" 1 (Server.connections server);
+  checkb "reusing a bound base raises Invalid_argument" true
+    (match rpc 2000 with _ -> false | exception Invalid_argument _ -> true)
+
+let test_stack_second_rpc_transfers () =
+  let sim, clock, st, engine, server, rpc = stack_world () in
+  ignore (rpc 2000);
+  let c = rpc 2004 in
+  let client =
+    Ilp_rpc.Client.create ~clock ~engine:(engine ()) ~ctrl:c.Stack.cli_ctrl
+      ~data:c.Stack.cli_data ()
+  in
+  let file = Ilp_app.Workload.generate ~len:4096 ~seed:9 in
+  Server.add_file server ~name:"f.bin" ~addr:(Ilp_app.Workload.install sim file)
+    ~len:4096;
+  Simclock.run_until_idle clock;
+  checkb "request accepted" true
+    (Result.is_ok
+       (Ilp_rpc.Client.request_file client ~name:"f.bin" ~copies:1 ~max_reply:512
+          ~expected:file));
+  Simclock.run_until_idle clock;
+  checkb "complete" true (Ilp_rpc.Client.transfer_complete client);
+  check "bytes" 4096 (Ilp_rpc.Client.bytes_received client);
+  check "teardown audit after a clean transfer" 0 (Stack.teardown st)
+
+(* One TSDU over a bare socket pair whose receiver returns its pooled
+   plaintext buffer, or holds it; the teardown audit's count. *)
+let stack_audit ~hold =
+  let sim, clock, st, engine, _, _ = stack_world () in
+  let tx_eng = engine () in
+  let rx_eng = engine () in
+  let tx = Stack.socket st Socket.default_config ~port:7001 in
+  let rx = Stack.socket st Socket.default_config ~port:7002 in
+  (match Engine.rx_style rx_eng with
+  | Engine.Rx_integrated_style f -> Socket.set_rx_processing rx (Socket.Rx_integrated f)
+  | Engine.Rx_deferred_style f -> Socket.set_rx_processing rx (Socket.Rx_separate f));
+  let delivered = ref 0 in
+  Socket.set_on_message rx (fun ~src:_ ~len ->
+      match Engine.read_plaintext_pooled rx_eng ~len with
+      | Error e -> Alcotest.fail e
+      | Ok (buf, _) ->
+          incr delivered;
+          if not hold then Engine.release_plaintext rx_eng buf);
+  Socket.listen rx;
+  Socket.connect tx ~remote_port:7002;
+  Simclock.run_until_idle clock;
+  let addr = Ilp_app.Workload.install sim (Ilp_app.Workload.generate ~len:512 ~seed:4) in
+  let ps = Engine.prepare_stream_segments tx_eng [ Engine.Seg_app { addr; len = 512 } ] in
+  checkb "sent" true
+    (Result.is_ok
+       (Socket.send_stream tx ~seg_unit:ps.Engine.seg_unit ~len:ps.Engine.stream_len
+          ~fill:ps.Engine.fill_range));
+  Simclock.run_until_idle clock;
+  check "one TSDU delivered" 1 !delivered;
+  Stack.teardown st
+
+let test_stack_teardown_audits_pool () =
+  check "every buffer returned" 0 (stack_audit ~hold:false);
+  check "one held buffer is one leak" 1 (stack_audit ~hold:true)
+
 let () =
   Alcotest.run "app"
     [ ( "workload",
@@ -554,4 +648,11 @@ let () =
           Alcotest.test_case "overload soak smoke" `Slow test_overload_soak_smoke;
           Alcotest.test_case "lying receiver punished" `Slow
             test_overload_lying_receiver;
-          Alcotest.test_case "crash soak smoke" `Slow test_crash_soak_smoke ] ) ]
+          Alcotest.test_case "crash soak smoke" `Slow test_crash_soak_smoke ] );
+      ( "stack",
+        [ Alcotest.test_case "rpc connection plan" `Quick
+            test_stack_rpc_comes_up;
+          Alcotest.test_case "second connection transfers" `Quick
+            test_stack_second_rpc_transfers;
+          Alcotest.test_case "teardown audits the pool" `Quick
+            test_stack_teardown_audits_pool ] ) ]

@@ -327,6 +327,31 @@ let test_experiment_names () =
   | Ok () -> Alcotest.fail "accepted bogus name"
   | Error _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Stream gates *)
+
+let test_stream_check_flags_pool_leak () =
+  (* A clean hand-built grid but for one stop-and-wait cell that left a
+     pooled buffer outstanding: exactly that cell fails. *)
+  let module Sb = B.Streambench in
+  let cfg = Sb.default_config in
+  let point p_mode peak_in_flight pool_leaks =
+    { Sb.p_mode; p_sack = true; p_rtt_us = 10_000.0; p_loss = 0.0;
+      p_out =
+        { Sb.ok = true; error = None; payload_bytes = cfg.Sb.total_bytes; tsdus = 64;
+          elapsed_us = 1e6; goodput_mbps = 10.0; segments = 1474; retransmissions = 0;
+          fast_retransmits = 0; rto_fallbacks = 0; peak_in_flight; ring_wraps = 16;
+          final_cwnd = 100_832; wire_digest = 1; pool_leaks } }
+  in
+  let points = [ point Sb.Pipelined 64_632 0; point Sb.Stop_and_wait cfg.Sb.mss 1 ] in
+  match Sb.check { Sb.cfg; points; gate_ratio = 40.0; sack_ratio = 0.0 } with
+  | Error [ e ] ->
+      let cell = "stop-and-wait+sack rtt=10ms loss=0%: " in
+      checkb ("names the leaking cell: " ^ e) true
+        (String.length e > String.length cell && String.sub e 0 (String.length cell) = cell)
+  | Ok () -> Alcotest.fail "a leaking cell passed the stream gates"
+  | Error es -> Alcotest.failf "expected one failure, got %d" (List.length es)
+
 let () =
   Alcotest.run "bench"
     [ ( "paper data",
@@ -361,4 +386,7 @@ let () =
           Alcotest.test_case "names" `Quick test_experiment_names ] );
       ( "wallbench",
         [ Alcotest.test_case "points and json" `Quick test_wallbench_points;
-          Alcotest.test_case "validation" `Quick test_wallbench_validation ] ) ]
+          Alcotest.test_case "validation" `Quick test_wallbench_validation ] );
+      ( "streambench",
+        [ Alcotest.test_case "pool leak fails its cell" `Quick
+            test_stream_check_flags_pool_leak ] ) ]

@@ -463,14 +463,6 @@ let test_demux_bind_conflict_and_unbind () =
   Demux.unbind demux ~port:10;
   Demux.bind demux ~port:10 ignore
 
-let test_demux_alloc_port () =
-  let demux = Demux.create () in
-  let p1 = Demux.alloc_port demux in
-  Demux.bind demux ~port:p1 ignore;
-  let p2 = Demux.alloc_port demux in
-  checkb "ephemeral range" true (p1 >= 32768 && p2 >= 32768);
-  checkb "fresh port" true (p1 <> p2)
-
 (* ------------------------------------------------------------------ *)
 (* Crashplan *)
 
@@ -660,8 +652,7 @@ let () =
       ( "demux",
         [ Alcotest.test_case "datagram validation" `Quick test_datagram_validation;
           Alcotest.test_case "routing" `Quick test_demux_routing;
-          Alcotest.test_case "bind conflict" `Quick test_demux_bind_conflict_and_unbind;
-          Alcotest.test_case "alloc port" `Quick test_demux_alloc_port ] );
+          Alcotest.test_case "bind conflict" `Quick test_demux_bind_conflict_and_unbind ] );
       ( "crashplan",
         [ Alcotest.test_case "timed lifecycle" `Quick
             test_crashplan_at_times_lifecycle;

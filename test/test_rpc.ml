@@ -3,7 +3,7 @@
 open Ilp_memsim
 module Simclock = Ilp_netsim.Simclock
 module Link = Ilp_netsim.Link
-module Demux = Ilp_netsim.Demux
+module Stack = Ilp_app.Stack
 module Datagram = Ilp_netsim.Datagram
 module Socket = Ilp_tcp.Socket
 module Engine = Ilp_core.Engine
@@ -345,8 +345,7 @@ let prop_reply_view_equals_copy =
 type world = {
   sim : Sim.t;
   clock : Simclock.t;
-  demux : Demux.t;
-  wire_out : Datagram.t -> unit;
+  stack : Stack.t;
   srv_engine : Engine.t;
   server : Server.t;
   client : Client.t;
@@ -358,43 +357,36 @@ type world = {
   file_addr : int;
 }
 
+let rpc_cfg = { Socket.default_config with mss = 2048 }
+
+let engine ?(mode = Engine.Ilp) sim =
+  Engine.create sim ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key:"rpcTESTk" ()) ~mode ()
+
 let make_world ?(mode = Engine.Ilp) ?(loss_rate = 0.0) ?(file_len = 4096)
     ?(limits = Server.default_limits) ?(mangle = fun _ s -> s)
     ?(idempotent = false) ?(drop = fun (_ : Datagram.t) -> false) () =
   let sim = Sim.create Config.ss10_30 in
   let clock = Simclock.create () in
-  let demux = Demux.create () in
-  let link = ref None in
+  (* [drop] swallows a datagram before the wire; [mangle] rewrites the
+     n-th one that survives.  Both run on the link's tamper hook. *)
   let count = ref 0 in
-  let wire_out d =
-    if not (drop d) then begin
+  let tamper d =
+    if drop d then []
+    else begin
       incr count;
       let payload = mangle !count d.Datagram.payload in
-      Link.send (Option.get !link)
-        (Datagram.create ~src_port:d.Datagram.src_port
-           ~dst_port:d.Datagram.dst_port ~payload)
+      [ (if payload == d.Datagram.payload then d else { d with Datagram.payload }) ]
     end
   in
-  link :=
-    Some (Link.create clock ~delay_us:50.0 ~loss_rate ~seed:7
-            ~deliver:(Demux.deliver demux) ());
-  let key = "rpcTESTk" in
-  let srv_engine =
-    Engine.create sim ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ()) ~mode ()
+  let stack =
+    Stack.create ~tamper sim clock ~seed:7 { Link.fault_free with loss_rate }
   in
-  let cli_engine =
-    Engine.create sim ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ()) ~mode ()
-  in
-  let cfg = { Socket.default_config with mss = 2048 } in
-  let srv_ctrl = Socket.create sim clock cfg ~local_port:10 ~wire_out in
-  let cli_ctrl = Socket.create sim clock cfg ~local_port:11 ~wire_out in
-  let srv_data = Socket.create sim clock cfg ~local_port:12 ~wire_out in
-  let cli_data = Socket.create sim clock cfg ~local_port:13 ~wire_out in
-  List.iter
-    (fun (port, s) -> Demux.bind demux ~port (Socket.handle_datagram s))
-    [ (10, srv_ctrl); (11, cli_ctrl); (12, srv_data); (13, cli_data) ];
+  let srv_engine = engine ~mode sim in
+  let cli_engine = engine ~mode sim in
   let server = Server.create ~clock ~engine:srv_engine ~limits () in
-  ignore (Server.attach server ~ctrl:srv_ctrl ~data:srv_data);
+  let { Stack.srv_ctrl; cli_ctrl; srv_data; cli_data } =
+    Stack.rpc stack server ~base:10 ~ctrl:rpc_cfg ~data:rpc_cfg
+  in
   let client =
     Client.create ~clock ~engine:cli_engine ~idempotent ~ctrl:cli_ctrl
       ~data:cli_data ()
@@ -402,20 +394,23 @@ let make_world ?(mode = Engine.Ilp) ?(loss_rate = 0.0) ?(file_len = 4096)
   let file = Ilp_app.Workload.generate ~len:file_len ~seed:3 in
   let addr = Ilp_app.Workload.install sim file in
   Server.add_file server ~name:"test.bin" ~addr ~len:file_len;
-  Socket.listen srv_ctrl;
-  Socket.listen cli_data;
-  Socket.connect cli_ctrl ~remote_port:10;
-  Socket.connect srv_data ~remote_port:13;
   Simclock.run_until_idle clock;
-  { sim; clock; demux; wire_out; srv_engine; server; client; srv_ctrl;
+  { sim; clock; stack; srv_engine; server; client; srv_ctrl;
     srv_data; cli_ctrl; cli_data; file; file_addr = addr }
 
-let pump w =
+(* Issue a request for the world's file; a local refusal fails the test. *)
+let request ?(name = "test.bin") w ~copies ~max_reply =
+  match Client.request_file w.client ~name ~copies ~max_reply ~expected:w.file with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "request refused"
+
+(* Drive the world until the client completes, is rejected or [stop]s. *)
+let pump_until stop w =
   let guard = ref 50_000 in
   while
     (not (Client.transfer_complete w.client))
     && (not (Client.rejected w.client))
-    && Client.errors w.client = []
+    && (not (stop w.client))
     && !guard > 0
   do
     decr guard;
@@ -423,14 +418,11 @@ let pump w =
   done;
   Simclock.run_until_idle w.clock
 
+let pump = pump_until (fun c -> Client.errors c <> [])
+
 let test_transfer_ilp () =
   let w = make_world ~mode:Engine.Ilp () in
-  (match
-     Client.request_file w.client ~name:"test.bin" ~copies:2 ~max_reply:1000
-       ~expected:w.file
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "request refused");
+  request w ~copies:2 ~max_reply:1000;
   pump w;
   Alcotest.(check (list string)) "no errors" [] (Client.errors w.client);
   checkb "complete" true (Client.transfer_complete w.client);
@@ -440,36 +432,21 @@ let test_transfer_ilp () =
 
 let test_transfer_separate () =
   let w = make_world ~mode:Engine.Separate () in
-  (match
-     Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:512
-       ~expected:w.file
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "request refused");
+  request w ~copies:1 ~max_reply:512;
   pump w;
   Alcotest.(check (list string)) "no errors" [] (Client.errors w.client);
   checkb "complete" true (Client.transfer_complete w.client)
 
 let test_transfer_under_loss () =
   let w = make_world ~mode:Engine.Ilp ~loss_rate:0.1 () in
-  (match
-     Client.request_file w.client ~name:"test.bin" ~copies:2 ~max_reply:700
-       ~expected:w.file
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "request refused");
+  request w ~copies:2 ~max_reply:700;
   pump w;
   Alcotest.(check (list string)) "no errors" [] (Client.errors w.client);
   checkb "complete despite loss" true (Client.transfer_complete w.client)
 
 let test_missing_file_rejected () =
   let w = make_world () in
-  (match
-     Client.request_file w.client ~name:"nope.bin" ~copies:1 ~max_reply:512
-       ~expected:w.file
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "request refused");
+  request ~name:"nope.bin" w ~copies:1 ~max_reply:512;
   pump w;
   checkb "rejected" true (Client.rejected w.client);
   checkb "not complete" false (Client.transfer_complete w.client)
@@ -478,12 +455,7 @@ let test_odd_sized_tail_segment () =
   (* A file that does not divide evenly by max_reply exercises the short
      final segment (and the alignment machinery). *)
   let w = make_world ~file_len:1000 () in
-  (match
-     Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:333
-       ~expected:w.file
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "request refused");
+  request w ~copies:1 ~max_reply:333;
   pump w;
   Alcotest.(check (list string)) "no errors" [] (Client.errors w.client);
   checkb "complete" true (Client.transfer_complete w.client);
@@ -494,18 +466,7 @@ let test_odd_sized_tail_segment () =
 
 (* Like [pump] but also stops on a typed failure (the abort tests would
    otherwise spin out their whole guard budget). *)
-let pump_settle w =
-  let guard = ref 50_000 in
-  while
-    (not (Client.transfer_complete w.client))
-    && (not (Client.rejected w.client))
-    && Client.failure w.client = None
-    && !guard > 0
-  do
-    decr guard;
-    Simclock.advance w.clock 2_000.0
-  done;
-  Simclock.run_until_idle w.clock
+let pump_settle = pump_until (fun c -> Client.failure c <> None)
 
 (* A wire that destroys every datagram's IP header once [on] is set: the
    kernel drops each one, so the sender retransmits into the void. *)
@@ -521,47 +482,35 @@ let test_abort_surfaces_to_client () =
   let on = ref false in
   let w = make_world ~mangle:(blackhole_mangle on) () in
   on := true;
-  (match
-     Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:512
-       ~expected:w.file
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "request refused");
+  request w ~copies:1 ~max_reply:512;
   pump_settle w;
   checkb "typed abort reaches the client" true
     (Client.failure w.client = Some (Client.Aborted Socket.Retry_exhausted));
   checkb "not complete" false (Client.transfer_complete w.client)
 
+(* Stand the server up again — a fresh instance over [store] — on four
+   fresh ports; hand back the new instance and the client-side pair. *)
+let restart_generation w ~store ~base =
+  let server2 = Server.create ~clock:w.clock ~engine:w.srv_engine ~store () in
+  let c = Stack.rpc w.stack server2 ~base ~ctrl:rpc_cfg ~data:rpc_cfg in
+  Server.add_file server2 ~name:"test.bin" ~addr:w.file_addr
+    ~len:(String.length w.file);
+  Simclock.run_until_idle w.clock;
+  (server2, c.Stack.cli_ctrl, c.Stack.cli_data)
+
 let test_reconnect_resumes () =
   let on = ref false in
   let w = make_world ~mangle:(blackhole_mangle on) () in
   on := true;
-  (match
-     Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:512
-       ~expected:w.file
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "request refused");
+  request w ~copies:1 ~max_reply:512;
   pump_settle w;
   checkb "aborted first" true (Client.failure w.client <> None);
   (* The wire heals; hand the client a freshly connected socket pair (and
      stand the server up again on new ports). *)
   on := false;
-  let cfg = { Socket.default_config with mss = 2048 } in
-  let mk port = Socket.create w.sim w.clock cfg ~local_port:port ~wire_out:w.wire_out in
-  let srv_ctrl = mk 20 and cli_ctrl = mk 21 and srv_data = mk 22 and cli_data = mk 23 in
-  List.iter
-    (fun (port, s) -> Demux.bind w.demux ~port (Socket.handle_datagram s))
-    [ (20, srv_ctrl); (21, cli_ctrl); (22, srv_data); (23, cli_data) ];
-  let server2 = Server.create ~clock:w.clock ~engine:w.srv_engine () in
-  ignore (Server.attach server2 ~ctrl:srv_ctrl ~data:srv_data);
-  Server.add_file server2 ~name:"test.bin" ~addr:w.file_addr
-    ~len:(String.length w.file);
-  Socket.listen srv_ctrl;
-  Socket.listen cli_data;
-  Socket.connect cli_ctrl ~remote_port:20;
-  Socket.connect srv_data ~remote_port:23;
-  Simclock.run_until_idle w.clock;
+  let _, cli_ctrl, cli_data =
+    restart_generation w ~store:(Server.create_store ()) ~base:20
+  in
   (match Client.reconnect w.client ~ctrl:cli_ctrl ~data:cli_data with
   | Ok _summary -> ()
   | Error _ -> Alcotest.fail "reconnect refused");
@@ -588,30 +537,6 @@ let crash_server w =
         (Simclock.pending_count w.clock ~owner:(Socket.timer_owner s)))
     [ w.srv_ctrl; w.srv_data ]
 
-(* Stand the server up again — a fresh instance over [store] — on four
-   fresh ports; hand back the new instance and the client-side pair. *)
-let restart_generation w ~store ~base =
-  let cfg = { Socket.default_config with mss = 2048 } in
-  let mk port =
-    let s =
-      Socket.create w.sim w.clock cfg ~local_port:port ~wire_out:w.wire_out
-    in
-    Demux.bind w.demux ~port (Socket.handle_datagram s);
-    s
-  in
-  let srv_ctrl = mk base and cli_ctrl = mk (base + 1) in
-  let srv_data = mk (base + 2) and cli_data = mk (base + 3) in
-  let server2 = Server.create ~clock:w.clock ~engine:w.srv_engine ~store () in
-  ignore (Server.attach server2 ~ctrl:srv_ctrl ~data:srv_data);
-  Server.add_file server2 ~name:"test.bin" ~addr:w.file_addr
-    ~len:(String.length w.file);
-  Socket.listen srv_ctrl;
-  Socket.listen cli_data;
-  Socket.connect cli_ctrl ~remote_port:base;
-  Socket.connect srv_data ~remote_port:(base + 3);
-  Simclock.run_until_idle w.clock;
-  (server2, cli_ctrl, cli_data)
-
 let test_dedup_replay_served_from_cache () =
   (* The doomed instance executes a request whose replies never reach the
      client; after the crash the client re-issues it under the SAME
@@ -624,12 +549,7 @@ let test_dedup_replay_served_from_cache () =
   in
   let w = make_world ~idempotent:true ~file_len:1024 ~drop () in
   dead := true;
-  (match
-     Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:512
-       ~expected:w.file
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "request refused");
+  request w ~copies:1 ~max_reply:512;
   pump_settle w;
   checkb "client aborted into the void" true
     (Client.failure w.client = Some (Client.Aborted Socket.Retry_exhausted));
@@ -671,12 +591,7 @@ let test_resume_mid_copy_verifies_prefix () =
   let dead = ref false in
   let drop _ = !dead in
   let w = make_world ~idempotent:true ~file_len:8192 ~drop () in
-  (match
-     Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:512
-       ~expected:w.file
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "request refused");
+  request w ~copies:1 ~max_reply:512;
   let guard = ref 10_000 in
   while Client.bytes_received w.client < 2048 && !guard > 0 do
     decr guard;
@@ -773,12 +688,7 @@ let test_oversized_request_refused () =
      permanently (not a retryable Busy), and the shed is in the ledger. *)
   let limits = { Server.default_limits with max_conn_queue_bytes = 1024 } in
   let w = make_world ~file_len:4096 ~limits () in
-  (match
-     Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:512
-       ~expected:w.file
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "request refused locally");
+  request w ~copies:1 ~max_reply:512;
   pump w;
   checkb "permanently rejected" true (Client.rejected w.client);
   checkb "not complete" false (Client.transfer_complete w.client);
@@ -792,12 +702,7 @@ let test_unadmitted_connection_busy_until_exhausted () =
      failure instead of stalling. *)
   let limits = { Server.default_limits with max_connections = 0 } in
   let w = make_world ~limits () in
-  (match
-     Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:512
-       ~expected:w.file
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "request refused locally");
+  request w ~copies:1 ~max_reply:512;
   pump_settle w;
   checkb "typed Server_busy failure" true
     (Client.failure w.client = Some Client.Server_busy);
@@ -815,27 +720,12 @@ let test_unadmitted_connection_busy_until_exhausted () =
 let test_busy_retry_recovers () =
   let sim = Sim.create Config.ss10_30 in
   let clock = Simclock.create () in
-  let demux = Demux.create () in
-  let link = ref None in
-  let wire_out d = Link.send (Option.get !link) d in
-  link :=
-    Some (Link.create clock ~delay_us:50.0 ~seed:7
-            ~deliver:(Demux.deliver demux) ());
-  let key = "rpcTESTk" in
-  let engine () =
-    Engine.create sim ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ())
-      ~mode:Engine.Ilp ()
-  in
+  let stack = Stack.create sim clock ~seed:7 Link.fault_free in
   (* Small socket buffers so the server's reply queue holds real bytes
      instead of draining synchronously into TCP. *)
   let cfg =
     { Socket.default_config with mss = 2048; send_buffer = 4096;
       recv_window = 4096 }
-  in
-  let mk port =
-    let s = Socket.create sim clock cfg ~local_port:port ~wire_out in
-    Demux.bind demux ~port (Socket.handle_datagram s);
-    s
   in
   let file_len = 4096 in
   let copies = 2 in
@@ -844,23 +734,16 @@ let test_busy_retry_recovers () =
       max_conn_queue_bytes = copies * file_len;
       max_total_queue_bytes = (copies * file_len) + 2048 }
   in
-  let server = Server.create ~clock ~engine:(engine ()) ~limits () in
+  let server = Server.create ~clock ~engine:(engine sim) ~limits () in
   let file = Ilp_app.Workload.generate ~len:file_len ~seed:3 in
   let addr = Ilp_app.Workload.install sim file in
   Server.add_file server ~name:"test.bin" ~addr ~len:file_len;
   let clients =
     List.map
       (fun i ->
-        let base = 30 + (4 * i) in
-        let srv_ctrl = mk base and cli_ctrl = mk (base + 1) in
-        let srv_data = mk (base + 2) and cli_data = mk (base + 3) in
-        ignore (Server.attach server ~ctrl:srv_ctrl ~data:srv_data);
-        Socket.listen srv_ctrl;
-        Socket.listen cli_data;
-        Socket.connect cli_ctrl ~remote_port:base;
-        Socket.connect srv_data ~remote_port:(base + 3);
-        Client.create ~clock ~engine:(engine ()) ~seed:(i + 1) ~ctrl:cli_ctrl
-          ~data:cli_data ())
+        let c = Stack.rpc stack server ~base:(30 + (4 * i)) ~ctrl:cfg ~data:cfg in
+        Client.create ~clock ~engine:(engine sim) ~seed:(i + 1)
+          ~ctrl:c.Stack.cli_ctrl ~data:c.Stack.cli_data ())
       [ 0; 1 ]
   in
   Simclock.run_until_idle clock;
@@ -903,32 +786,19 @@ let test_dead_connection_frees_admission_slot () =
   let limits = { Server.default_limits with max_connections = 1 } in
   let w = make_world ~limits () in
   check "one admitted" 1 (Server.connections w.server);
-  (* A second pair attaches over the budget: not admitted. *)
-  let cfg = { Socket.default_config with mss = 2048 } in
-  let mk port =
-    let s = Socket.create w.sim w.clock cfg ~local_port:port ~wire_out:w.wire_out in
-    Demux.bind w.demux ~port (Socket.handle_datagram s);
-    s
-  in
-  let srv_ctrl2 = mk 40 and srv_data2 = mk 42 in
-  ignore (Server.attach w.server ~ctrl:srv_ctrl2 ~data:srv_data2);
+  (* A second connection attaches over the budget: not admitted. *)
+  ignore (Stack.rpc w.stack w.server ~base:40 ~ctrl:rpc_cfg ~data:rpc_cfg);
   check "still one admitted" 1 (Server.connections w.server);
   (* The first client turns into a dead reader: its data socket
      advertises a zero window and never reopens, so the server's data
      socket persists, stalls past the deadline and aborts Peer_stalled —
      which must free the admission slot. *)
   Socket.set_advertised_window w.cli_data 0;
-  (match
-     Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:512
-       ~expected:w.file
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "request refused locally");
+  request w ~copies:1 ~max_reply:512;
   Simclock.run_until_idle w.clock;
   check "slot freed by the Peer_stalled abort" 0 (Server.connections w.server);
   checkb "abandoned replies accounted" true (Server.replies_abandoned w.server > 0);
-  let srv_ctrl3 = mk 44 and srv_data3 = mk 46 in
-  ignore (Server.attach w.server ~ctrl:srv_ctrl3 ~data:srv_data3);
+  ignore (Stack.rpc w.stack w.server ~base:44 ~ctrl:rpc_cfg ~data:rpc_cfg);
   check "new connection admitted" 1 (Server.connections w.server)
 
 let () =

@@ -5,7 +5,6 @@
 open Ilp_memsim
 module Simclock = Ilp_netsim.Simclock
 module Link = Ilp_netsim.Link
-module Demux = Ilp_netsim.Demux
 module Datagram = Ilp_netsim.Datagram
 open Ilp_tcp
 
@@ -208,15 +207,18 @@ let make_world ?(loss_rate = 0.0) ?(jitter_us = 0.0) ?(dup_rate = 0.0) ?(seed = 
     ?tamper ?(mangle = fun _ s -> s) () =
   let sim = Sim.create (Config.custom ()) in
   let clock = Simclock.create () in
-  let demux = Demux.create () in
-  let link_ref = ref None in
+  (* [mangle] rewrites the n-th datagram's bytes on the link's tamper
+     hook, ahead of the test's own [tamper]. *)
   let count = ref 0 in
-  let wire_out d =
+  let tamper d =
     incr count;
     let payload = mangle !count d.Datagram.payload in
-    Link.send (Option.get !link_ref)
-      (Datagram.create ~src_port:d.Datagram.src_port ~dst_port:d.Datagram.dst_port
-         ~payload)
+    let d = if payload == d.Datagram.payload then d else { d with Datagram.payload } in
+    match tamper with None -> [ d ] | Some f -> f d
+  in
+  let st =
+    Ilp_app.Stack.create ~tamper sim clock ~seed
+      { Link.fault_free with delay_us = 25.0; loss_rate; jitter_us; dup_rate }
   in
   let cfg =
     { Socket.default_config with
@@ -230,15 +232,9 @@ let make_world ?(loss_rate = 0.0) ?(jitter_us = 0.0) ?(dup_rate = 0.0) ?(seed = 
       max_tsdu
     }
   in
-  let a = Socket.create sim clock cfg ~local_port:100 ~wire_out in
-  let b = Socket.create sim clock cfg ~local_port:200 ~wire_out in
-  link_ref :=
-    Some
-      (Link.create clock ~delay_us:25.0 ~loss_rate ~jitter_us ~dup_rate ~seed
-         ?tamper ~deliver:(Demux.deliver demux) ());
-  Demux.bind demux ~port:100 (Socket.handle_datagram a);
-  Demux.bind demux ~port:200 (Socket.handle_datagram b);
-  { sim; clock; a; b; link = Option.get !link_ref }
+  let a = Ilp_app.Stack.socket st cfg ~port:100 in
+  let b = Ilp_app.Stack.socket st cfg ~port:200 in
+  { sim; clock; a; b; link = Ilp_app.Stack.link st }
 
 let connect w =
   Socket.listen w.b;
